@@ -180,20 +180,27 @@ pub fn fleet_trace_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("dev-{index}.{}", dvs_workload::codec::BINARY_EXT))
 }
 
-/// The trace for device `index`: decoded from the recorded binary file when
-/// a trace directory is given and the recording matches the device's
-/// identity (rate and frame count), regenerated otherwise. Recordings are
-/// purely an accelerator — the fallback keeps any run byte-identical to a
-/// directory-less one.
-fn device_trace(dev: &DeviceRun, index: u64, frames: usize, dir: Option<&Path>) -> FrameTrace {
+/// Loads the trace for device `index` into `trace`: decoded from the
+/// recorded binary file when a trace directory is given and the recording
+/// matches the device's identity (rate and frame count), regenerated in
+/// place otherwise. Recordings are purely an accelerator — the fallback
+/// keeps any run byte-identical to a directory-less one.
+fn load_device_trace(
+    dev: &DeviceRun,
+    index: u64,
+    frames: usize,
+    dir: Option<&Path>,
+    trace: &mut FrameTrace,
+) {
     if let Some(dir) = dir {
-        if let Ok(trace) = FrameTrace::load_binary(fleet_trace_path(dir, index)) {
-            if trace.rate_hz == dev.rate_hz && trace.len() == frames {
-                return trace;
+        if let Ok(recorded) = FrameTrace::load_binary(fleet_trace_path(dir, index)) {
+            if recorded.rate_hz == dev.rate_hz && recorded.len() == frames {
+                *trace = recorded;
+                return;
             }
         }
     }
-    dev.trace()
+    dev.trace_into(trace);
 }
 
 /// Runs one shard of the population through the chosen engine and returns
@@ -224,10 +231,12 @@ pub fn run_fleet_shard_with(
     let range = spec.shard_range(shard, shards);
     match engine {
         FleetEngine::PerDevice => {
+            // One trace pooled across the shard's devices.
+            let mut trace = FrameTrace::new(String::new(), 0);
             for i in range {
                 let Some(dev) = spec.device(i) else { continue };
                 let cfg = fleet_config(dev.rate_hz, dev.buffers);
-                let trace = device_trace(&dev, i, spec.frames, trace_dir);
+                load_device_trace(&dev, i, spec.frames, trace_dir, &mut trace);
                 let plan = fleet_plan(spec, &dev);
                 let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
                 arena.with_scratch_report(|arena, out| {
@@ -278,12 +287,16 @@ fn flush_bucket(
     let Some((_, first)) = bucket.first() else { return };
     let cfg = fleet_config(first.rate_hz, first.buffers);
     for (j, (index, dev)) in bucket.iter().enumerate() {
-        let trace = device_trace(dev, *index, spec.frames, trace_dir);
         let plan = fleet_plan(spec, dev);
         let pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
-        if j < lanes.len() {
-            lanes[j].reload(trace, plan, pacer);
+        if let Some(lane) = lanes.get_mut(j) {
+            // A warm lane regenerates into its own trace.
+            load_device_trace(dev, *index, spec.frames, trace_dir, &mut lane.trace);
+            lane.plan = plan;
+            lane.pacer = pacer;
         } else {
+            let mut trace = FrameTrace::new(String::new(), 0);
+            load_device_trace(dev, *index, spec.frames, trace_dir, &mut trace);
             lanes.push(BatchLane::new(trace, plan, pacer));
         }
     }

@@ -210,9 +210,16 @@ impl VsyncTimeline {
 
     /// The first tick whose (jittered) time is strictly after `t`.
     pub fn next_tick_after(&self, t: SimTime) -> (u64, SimTime) {
-        // Estimate from ideal arithmetic, then fix up across the jitter band.
         // dvs-lint: allow(panic, reason = "segments is seeded with one segment at construction and never drained")
         let last = self.segments.last().expect("at least one segment");
+        if self.jitter.is_zero() && t >= last.start {
+            // Closed form: past the last rate switch a jitter-free grid is
+            // exact arithmetic. The grid is continuous across segments, so
+            // this is the tick the walk below would settle on.
+            let k = last.first_tick + t.saturating_since(last.start).div_duration(last.period) + 1;
+            return (k, last.start + last.period * (k - last.first_tick));
+        }
+        // Estimate from ideal arithmetic, then fix up across the jitter band.
         let mut k = if t < last.start {
             // Scan earlier segments (rare: there are only a handful).
             let s = self.segments.iter().rev().find(|s| s.start <= t).unwrap_or(&self.segments[0]);
@@ -408,6 +415,56 @@ mod tests {
             assert_eq!(pulse.tick, k);
             assert_eq!(pulse.at, tl.tick_time(k));
             pulse = pulse.next(&tl);
+        }
+    }
+
+    #[test]
+    fn closed_form_next_tick_matches_the_walk() {
+        let mut timelines = Vec::new();
+        for rate in
+            [RefreshRate::HZ_60, RefreshRate::HZ_90, RefreshRate::HZ_120, RefreshRate::from_hz(144)]
+        {
+            timelines.push(VsyncTimeline::new(rate));
+            timelines.push(VsyncTimeline::builder(rate).drift_ppm(73.0).build());
+            timelines.push(
+                VsyncTimeline::builder(rate)
+                    .drift_ppm(-41.0)
+                    .phase(SimTime::from_micros(777))
+                    .build(),
+            );
+            let mut switched = VsyncTimeline::builder(rate).drift_ppm(25.0).build();
+            switched.switch_rate_at_tick(90, RefreshRate::HZ_60);
+            switched.switch_rate_at_tick(240, RefreshRate::HZ_120);
+            switched.switch_rate_at_tick(1_000, RefreshRate::from_hz(144));
+            timelines.push(switched);
+        }
+        for tl in &timelines {
+            let horizon = tl.tick_time(4_000);
+            // Probes on, just before, and just after ticks, plus a coprime
+            // stride through the whole span.
+            let mut probes = Vec::new();
+            for k in (0..4_000).step_by(37) {
+                let at = tl.tick_time(k);
+                probes.push(at);
+                probes.push(at + SimDuration::from_nanos(1));
+                probes.push(SimTime::from_nanos(at.as_nanos().saturating_sub(1)));
+            }
+            let stride = SimDuration::from_nanos(1_234_567);
+            let mut t = SimTime::ZERO;
+            while t <= horizon {
+                probes.push(t);
+                t += stride;
+            }
+            // The oracle walks the tick grid from tick 0, resuming from the
+            // previous probe (probes ascend).
+            let mut k_walk = 0;
+            probes.sort();
+            for &t in &probes {
+                while tl.tick_time(k_walk) <= t {
+                    k_walk += 1;
+                }
+                assert_eq!(tl.next_tick_after(t), (k_walk, tl.tick_time(k_walk)), "probe {t}");
+            }
         }
     }
 

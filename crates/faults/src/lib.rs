@@ -2,22 +2,25 @@
 //!
 //! A [`FaultPlan`] describes *what can go wrong* during a run: explicitly
 //! scheduled perturbations ([`FaultEvent`]) plus seeded-stochastic fault
-//! processes ([`StochasticFault`]). Before a run starts, the plan is
-//! [materialized](FaultPlan::materialize) over the run's horizon into a
-//! [`FaultSchedule`] — a concrete, fully-resolved set of fault firings the
-//! simulator consults with plain lookups.
+//! processes ([`StochasticFault`]). The plan resolves over the run's horizon
+//! in one of two equivalent forms: [`FaultPlan::materialize`] builds a
+//! [`FaultSchedule`] — every fault firing up to the horizon, in canonical
+//! ordered maps — and [`CompiledFaults::from_plan`] builds the dense lookup
+//! tables the simulator's event loop reads, drawing each per-tick process
+//! only as far as the run reaches.
 //!
 //! # Determinism contract
 //!
-//! All stochastic draws happen *inside* `materialize`, seeded from
-//! [`dvs_sim::stable_seed`] of the plan's textual `seed_key` and iterated in
-//! a fixed order (plan entry order, then frame/tick order). The resulting
-//! schedule is therefore a pure function of `(plan, horizon)`:
+//! Every stochastic draw is seeded from [`dvs_sim::stable_seed`] of the
+//! plan's textual `seed_key`; each process owns a forked stream and draws
+//! its frames or ticks in index order. The fault stream is therefore a pure
+//! function of `(plan, horizon)`:
 //!
 //! * identical plan + seed ⇒ byte-identical fault stream, run after run,
 //!   regardless of worker thread, query order, or wall clock;
-//! * the simulator never draws randomness mid-run for faults, so *when* it
-//!   consults the schedule cannot perturb *what* faults fire.
+//! * how far a run gets decides how many ticks [`CompiledFaults`] draws,
+//!   never what they hold, so *when* the simulator consults the stream
+//!   cannot perturb *what* faults fire.
 //!
 //! This is what makes a faulty run replayable: record the plan, not the
 //! symptoms.

@@ -60,6 +60,36 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// The event as it lands in a run over `horizon`, or `None` when the run
+    /// never sees it. Ticks clamp to ≥ 1 (tick 0 anchors the timeline; an
+    /// allocation denial may still name it), injected delay clamps to
+    /// `max_jitter` so pulses stay ordered, zero-sized stalls and delays and
+    /// 0 Hz switches are dropped, and so is anything past the horizon.
+    pub(crate) fn resolve(self, horizon: &Horizon, max_jitter: SimDuration) -> Option<FaultEvent> {
+        match self {
+            FaultEvent::StallUi { frame, extra } | FaultEvent::StallRs { frame, extra } => {
+                (frame < horizon.frames && !extra.is_zero()).then_some(self)
+            }
+            FaultEvent::MissVsync { tick } => {
+                let tick = tick.max(1);
+                (tick <= horizon.ticks).then_some(FaultEvent::MissVsync { tick })
+            }
+            FaultEvent::JitterVsync { tick, delay } => {
+                let tick = tick.max(1);
+                (tick <= horizon.ticks && !delay.is_zero())
+                    .then(|| FaultEvent::JitterVsync { tick, delay: delay.min(max_jitter) })
+            }
+            FaultEvent::DenyAlloc { tick } => (tick <= horizon.ticks).then_some(self),
+            FaultEvent::RateSwitch { tick, rate_hz } => {
+                let tick = tick.max(1);
+                (tick <= horizon.ticks && rate_hz > 0)
+                    .then_some(FaultEvent::RateSwitch { tick, rate_hz })
+            }
+        }
+    }
+}
+
 /// The kind of a seeded-stochastic fault process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StochasticKind {
@@ -89,7 +119,7 @@ pub struct StochasticFault {
 }
 
 /// The run horizon a plan is materialized over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Horizon {
     /// Number of trace frames the run will produce.
     pub frames: u64,
@@ -103,6 +133,58 @@ impl Horizon {
     /// Creates a horizon.
     pub fn new(frames: u64, ticks: u64, period: SimDuration) -> Self {
         Horizon { frames, ticks, period }
+    }
+
+    /// The largest injected pulse delay: a quarter of the nominal period.
+    pub(crate) fn max_jitter(&self) -> SimDuration {
+        SimDuration::from_nanos((self.period.as_nanos() / 4).max(1))
+    }
+}
+
+/// One stochastic process part-way through its own forked stream.
+#[derive(Clone, Debug)]
+pub(crate) struct Draw {
+    fault: StochasticFault,
+    rng: SimRng,
+}
+
+impl Draw {
+    /// The kind of process this is.
+    pub(crate) fn kind(&self) -> StochasticKind {
+        self.fault.kind
+    }
+
+    /// Whether the process fires per trace frame (stalls) rather than per
+    /// refresh tick.
+    pub(crate) fn per_frame(&self) -> bool {
+        matches!(self.fault.kind, StochasticKind::GpuStall | StochasticKind::UiPause)
+    }
+
+    /// Draws the process at index `at`: a frame for stalls, a tick
+    /// otherwise. A process must draw its indices in order, each once —
+    /// frames from 0, ticks from 1 — for its stream to be the plan's.
+    pub(crate) fn draw(&mut self, at: u64) -> Option<FaultEvent> {
+        let fault = self.fault;
+        if !self.rng.chance(fault.probability) {
+            return None;
+        }
+        let mut sized = || {
+            let size = fault.magnitude.mul_f64(self.rng.next_range(0.5, 1.5));
+            (!size.is_zero()).then_some(size)
+        };
+        match fault.kind {
+            StochasticKind::GpuStall => {
+                sized().map(|extra| FaultEvent::StallRs { frame: at, extra })
+            }
+            StochasticKind::UiPause => {
+                sized().map(|extra| FaultEvent::StallUi { frame: at, extra })
+            }
+            StochasticKind::VsyncMiss => Some(FaultEvent::MissVsync { tick: at }),
+            StochasticKind::VsyncJitter => {
+                sized().map(|delay| FaultEvent::JitterVsync { tick: at, delay })
+            }
+            StochasticKind::AllocFail => Some(FaultEvent::DenyAlloc { tick: at }),
+        }
     }
 }
 
@@ -142,6 +224,16 @@ impl FaultPlan {
         self.scheduled.is_empty() && self.stochastic.is_empty()
     }
 
+    /// Each stochastic process with its own stream, in plan order: the root
+    /// is `stable_seed(seed_key)` and process `i` forks stream `i + 1`.
+    pub(crate) fn draws(&self) -> impl Iterator<Item = Draw> + '_ {
+        let mut root = SimRng::seed_from(stable_seed(&self.seed_key));
+        self.stochastic
+            .iter()
+            .enumerate()
+            .map(move |(i, &fault)| Draw { fault, rng: root.fork(i as u64 + 1) })
+    }
+
     /// Resolves the plan into a concrete [`FaultSchedule`] over `horizon`.
     ///
     /// Determinism: the root RNG is `stable_seed(seed_key)`; each stochastic
@@ -149,69 +241,27 @@ impl FaultPlan {
     /// swept over its whole frame/tick domain in index order. No draw
     /// depends on any other process, on query order, or on the simulator's
     /// progress, so `(plan, horizon) → schedule` is a pure function.
+    /// [`CompiledFaults::from_plan`](crate::CompiledFaults::from_plan) makes
+    /// the same draws, but only as far as a run reaches.
     pub fn materialize(&self, horizon: &Horizon) -> FaultSchedule {
         let mut schedule = FaultSchedule::default();
-        let max_jitter = SimDuration::from_nanos((horizon.period.as_nanos() / 4).max(1));
+        let max_jitter = horizon.max_jitter();
 
         for event in &self.scheduled {
             schedule.apply_event(*event, horizon, max_jitter);
         }
 
-        let mut root = SimRng::seed_from(stable_seed(&self.seed_key));
-        for (i, fault) in self.stochastic.iter().enumerate() {
-            let mut rng = root.fork(i as u64 + 1);
-            match fault.kind {
-                StochasticKind::GpuStall | StochasticKind::UiPause => {
-                    for frame in 0..horizon.frames {
-                        if rng.chance(fault.probability) {
-                            let extra = fault.magnitude.mul_f64(rng.next_range(0.5, 1.5));
-                            if extra.is_zero() {
-                                continue;
-                            }
-                            let event = if fault.kind == StochasticKind::UiPause {
-                                FaultEvent::StallUi { frame, extra }
-                            } else {
-                                FaultEvent::StallRs { frame, extra }
-                            };
-                            schedule.apply_event(event, horizon, max_jitter);
-                        }
+        for mut process in self.draws() {
+            if process.per_frame() {
+                for frame in 0..horizon.frames {
+                    if let Some(event) = process.draw(frame) {
+                        schedule.apply_event(event, horizon, max_jitter);
                     }
                 }
-                StochasticKind::VsyncMiss => {
-                    for tick in 1..=horizon.ticks {
-                        if rng.chance(fault.probability) {
-                            schedule.apply_event(
-                                FaultEvent::MissVsync { tick },
-                                horizon,
-                                max_jitter,
-                            );
-                        }
-                    }
-                }
-                StochasticKind::VsyncJitter => {
-                    for tick in 1..=horizon.ticks {
-                        if rng.chance(fault.probability) {
-                            let delay = fault.magnitude.mul_f64(rng.next_range(0.5, 1.5));
-                            if delay.is_zero() {
-                                continue;
-                            }
-                            schedule.apply_event(
-                                FaultEvent::JitterVsync { tick, delay },
-                                horizon,
-                                max_jitter,
-                            );
-                        }
-                    }
-                }
-                StochasticKind::AllocFail => {
-                    for tick in 1..=horizon.ticks {
-                        if rng.chance(fault.probability) {
-                            schedule.apply_event(
-                                FaultEvent::DenyAlloc { tick },
-                                horizon,
-                                max_jitter,
-                            );
-                        }
+            } else {
+                for tick in 1..=horizon.ticks {
+                    if let Some(event) = process.draw(tick) {
+                        schedule.apply_event(event, horizon, max_jitter);
                     }
                 }
             }

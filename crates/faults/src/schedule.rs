@@ -32,52 +32,35 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// Folds one event into the schedule, clamping and bounds-checking
-    /// against `horizon`. Ticks clamp to ≥ 1 (tick 0 anchors the timeline),
-    /// jitter clamps to `max_jitter` so pulses stay ordered, and rate 0 is
-    /// rejected outright.
+    /// against `horizon` ([`FaultEvent::resolve`]). Stacked stalls add up,
+    /// stacked delays keep the largest, and a later rate switch at the same
+    /// tick replaces an earlier one.
     pub(crate) fn apply_event(
         &mut self,
         event: FaultEvent,
         horizon: &Horizon,
         max_jitter: SimDuration,
     ) {
+        let Some(event) = event.resolve(horizon, max_jitter) else { return };
         match event {
             FaultEvent::StallUi { frame, extra } => {
-                if frame < horizon.frames && !extra.is_zero() {
-                    let slot = self.ui_extra.entry(frame).or_insert(SimDuration::ZERO);
-                    *slot += extra;
-                }
+                *self.ui_extra.entry(frame).or_default() += extra;
             }
             FaultEvent::StallRs { frame, extra } => {
-                if frame < horizon.frames && !extra.is_zero() {
-                    let slot = self.rs_extra.entry(frame).or_insert(SimDuration::ZERO);
-                    *slot += extra;
-                }
+                *self.rs_extra.entry(frame).or_default() += extra;
             }
             FaultEvent::MissVsync { tick } => {
-                let tick = tick.max(1);
-                if tick <= horizon.ticks {
-                    self.missed_ticks.insert(tick);
-                }
+                self.missed_ticks.insert(tick);
             }
             FaultEvent::JitterVsync { tick, delay } => {
-                let tick = tick.max(1);
-                if tick <= horizon.ticks && !delay.is_zero() {
-                    let delay = delay.min(max_jitter);
-                    let slot = self.tick_delay.entry(tick).or_insert(SimDuration::ZERO);
-                    *slot = (*slot).max(delay);
-                }
+                let slot = self.tick_delay.entry(tick).or_default();
+                *slot = (*slot).max(delay);
             }
             FaultEvent::DenyAlloc { tick } => {
-                if tick <= horizon.ticks {
-                    self.alloc_deny.insert(tick);
-                }
+                self.alloc_deny.insert(tick);
             }
             FaultEvent::RateSwitch { tick, rate_hz } => {
-                let tick = tick.max(1);
-                if tick <= horizon.ticks && rate_hz > 0 {
-                    self.rate_switches.insert(tick, rate_hz);
-                }
+                self.rate_switches.insert(tick, rate_hz);
             }
         }
     }
@@ -113,33 +96,35 @@ impl FaultSchedule {
     }
 
     /// Flattens the schedule into dense O(1) lookups for a run of `ticks`
-    /// refreshes over `frames` trace frames (the event-heap hot path).
+    /// refreshes over `frames` trace frames (the compositor's event-heap
+    /// path; single-pipeline runs build them straight from the plan with
+    /// [`CompiledFaults::from_plan`](crate::CompiledFaults::from_plan)).
     pub fn compile(&self, ticks: u64, frames: u64) -> crate::CompiledFaults {
         crate::CompiledFaults::compile(self, ticks, frames)
     }
 
     /// Iterator over swallowed ticks (compilation support).
-    pub(crate) fn missed_tick_iter(&self) -> impl Iterator<Item = &u64> {
+    pub(crate) fn missed_tick_iter(&self) -> impl DoubleEndedIterator<Item = &u64> {
         self.missed_ticks.iter()
     }
 
     /// Iterator over pulse delays (compilation support).
-    pub(crate) fn tick_delay_iter(&self) -> impl Iterator<Item = (&u64, &SimDuration)> {
+    pub(crate) fn tick_delay_iter(&self) -> impl DoubleEndedIterator<Item = (&u64, &SimDuration)> {
         self.tick_delay.iter()
     }
 
     /// Iterator over denied intervals (compilation support).
-    pub(crate) fn alloc_deny_iter(&self) -> impl Iterator<Item = &u64> {
+    pub(crate) fn alloc_deny_iter(&self) -> impl DoubleEndedIterator<Item = &u64> {
         self.alloc_deny.iter()
     }
 
     /// Iterator over UI stalls (compilation support).
-    pub(crate) fn ui_extra_iter(&self) -> impl Iterator<Item = (&u64, &SimDuration)> {
+    pub(crate) fn ui_extra_iter(&self) -> impl DoubleEndedIterator<Item = (&u64, &SimDuration)> {
         self.ui_extra.iter()
     }
 
     /// Iterator over RS stalls (compilation support).
-    pub(crate) fn rs_extra_iter(&self) -> impl Iterator<Item = (&u64, &SimDuration)> {
+    pub(crate) fn rs_extra_iter(&self) -> impl DoubleEndedIterator<Item = (&u64, &SimDuration)> {
         self.rs_extra.iter()
     }
 

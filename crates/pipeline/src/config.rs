@@ -1,6 +1,7 @@
 //! Pipeline configuration.
 
 use dvs_display::{RefreshRate, VsyncTimeline};
+use dvs_faults::Horizon;
 use dvs_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -122,6 +123,12 @@ impl PipelineConfig {
     /// The safety tick cap for a trace of `frames` frames.
     pub fn tick_cap(&self, frames: usize) -> u64 {
         self.max_ticks.unwrap_or(20 * frames as u64 + 200)
+    }
+
+    /// The horizon a fault plan resolves over for a trace of `frames`
+    /// frames: the frames, the safety tick cap, and the nominal period.
+    pub(crate) fn fault_horizon(&self, frames: usize) -> Horizon {
+        Horizon::new(frames as u64, self.tick_cap(frames), self.rate().period())
     }
 }
 

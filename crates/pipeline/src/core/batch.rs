@@ -24,7 +24,7 @@
 //! per-device [`crate::Simulator`] runs for K ∈ {1, 2, 7, 64}, clean and
 //! faulted.
 
-use dvs_faults::{FaultPlan, FaultSchedule, Horizon};
+use dvs_faults::{CompiledFaults, FaultPlan};
 use dvs_metrics::RunReport;
 use dvs_sim::{DvsError, SimTime};
 use dvs_workload::FrameTrace;
@@ -39,13 +39,14 @@ use crate::pacer::FramePacer;
 pub struct BatchLane<P: FramePacer> {
     /// The lane's frame trace for this batch.
     pub trace: FrameTrace,
-    /// Optional fault plan, materialized over the lane's own horizon
-    /// exactly like [`crate::Simulator::try_run_faulted_into`].
+    /// Optional fault plan, resolved over the lane's own horizon exactly
+    /// like [`crate::Simulator::try_run_faulted_into`].
     pub plan: Option<FaultPlan>,
     /// The lane's pacer. Fresh per run (pacing state must not leak across
     /// devices); monomorphized so batches skip the per-run boxed pacer.
     pub pacer: P,
-    /// Pooled run-state buffers, reused across successive batches.
+    /// Pooled run-state buffers and fault tables, reused across successive
+    /// batches.
     pub arena: RunArena,
     /// The lane's output report (fully reset before each run).
     pub out: RunReport,
@@ -69,7 +70,7 @@ impl<P: FramePacer> BatchLane<P> {
 
 /// One live lane mid-flight: the state machine plus its private heap.
 struct Live<'a> {
-    st: PipeState<'a, dvs_faults::CompiledFaults>,
+    st: PipeState<'a, &'a mut CompiledFaults>,
     heap: &'a mut dvs_sim::EventQueue<Ev>,
     done: bool,
 }
@@ -96,24 +97,14 @@ pub fn run_batch<P: FramePacer>(
         }
     }
 
-    // Lane setup mirrors `event_heap::execute` line for line: materialize →
-    // compile → reset + pre-size the pooled heap → seed Tick(0). The one
-    // live-lane vector is per batch of K runs, not per event.
+    // Lane setup mirrors `event_heap::execute` line for line: reload the
+    // pooled fault tables from the plan → reset + pre-size the pooled heap →
+    // seed Tick(0). The one live-lane vector is per batch of K runs, not per
+    // event.
     let mut live: Vec<Live<'_>> = Vec::with_capacity(lanes.len());
     for lane in lanes.iter_mut() {
-        let schedule = match &lane.plan {
-            Some(plan) => {
-                let horizon = Horizon::new(
-                    lane.trace.len() as u64,
-                    cfg.tick_cap(lane.trace.len()),
-                    cfg.rate().period(),
-                );
-                plan.materialize(&horizon)
-            }
-            None => FaultSchedule::default(),
-        };
-        let faults = schedule.compile(cfg.tick_cap(lane.trace.len()), lane.trace.len() as u64);
-        let (scratch, heap) = lane.arena.split();
+        let (scratch, heap, faults) = lane.arena.split();
+        faults.reload(lane.plan.as_ref(), &cfg.fault_horizon(lane.trace.len()));
         heap.reset();
         heap.reserve(heap_capacity(cfg.render_threads));
         let st = PipeState::new(cfg, &lane.trace, &mut lane.pacer, faults, scratch, &mut lane.out);

@@ -257,7 +257,7 @@ fn build_state<'a, F: FaultView>(
         .zip(arenas.iter_mut())
         .zip(outs.iter_mut())
         .map(|(((input, faults), arena), out)| {
-            let (scratch, _heap) = arena.split();
+            let (scratch, _, _) = arena.split();
             SurfaceState::new(input.cfg, input.trace, input.pacer, faults, scratch, out)
         })
         .collect();

@@ -9,13 +9,15 @@
 //! * the event heap is pre-sized to the worst-case population (one pending
 //!   tick + one wake + one UI completion + one render completion per
 //!   context, with slack for stale wakes);
-//! * fault lookups go through [`CompiledFaults`] — the materialized
-//!   schedule's ordered maps flattened once, up front, into dense arrays
-//!   (clean runs compile to five empty vectors and a zero flag word);
+//! * fault lookups go through [`CompiledFaults`](dvs_faults::CompiledFaults)
+//!   tables pooled in the arena and reloaded straight from the run's plan;
+//!   tick-domain processes draw as the run reaches each tick, so a run pays
+//!   for the ticks it takes, not for the safety cap (clean runs reload to
+//!   empty tables and a zero flag word);
 //! * all per-frame state lives in vectors sized from the trace before the
 //!   first event fires.
 
-use dvs_faults::FaultSchedule;
+use dvs_faults::FaultPlan;
 use dvs_metrics::RunReport;
 use dvs_workload::FrameTrace;
 
@@ -30,18 +32,19 @@ pub(crate) fn heap_capacity(render_threads: usize) -> usize {
     2 * (3 + render_threads)
 }
 
-/// Runs one trace to completion on the event heap, writing the run report
-/// into `out` and using `arena` buffers for all transient state.
+/// Runs one trace to completion on the event heap, under `plan`'s faults
+/// (`None` runs clean), writing the run report into `out` and using `arena`
+/// buffers for all transient state.
 pub(crate) fn execute(
     cfg: &PipelineConfig,
     trace: &FrameTrace,
     pacer: &mut dyn FramePacer,
-    schedule: &FaultSchedule,
+    plan: Option<&FaultPlan>,
     arena: &mut RunArena,
     out: &mut RunReport,
 ) -> CoreStats {
-    let faults = schedule.compile(cfg.tick_cap(trace.len()), trace.len() as u64);
-    let (scratch, heap) = arena.split();
+    let (scratch, heap, faults) = arena.split();
+    faults.reload(plan, &cfg.fault_horizon(trace.len()));
     // A pooled heap must rewind its tie-break sequence counter so reused
     // runs stay bit-identical to fresh ones.
     heap.reset();

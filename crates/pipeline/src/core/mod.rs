@@ -89,18 +89,20 @@ pub(crate) enum Ev {
     Wake,
 }
 
-/// Read-only view of a run's resolved fault stream.
+/// A view of a run's resolved fault stream.
 ///
 /// The reference engine reads the materialized [`FaultSchedule`] directly
-/// (ordered-map probes); the event-heap engine reads the same schedule
-/// flattened into [`CompiledFaults`]. The differential suite holds the two
-/// views to identical answers.
+/// (ordered-map probes); the event-heap engine reads [`CompiledFaults`],
+/// whose tick-domain processes draw each tick the first time a query
+/// reaches it — hence `&mut self` on the per-tick queries. On `Tick(k)` the
+/// deepest tick any query reads is `k + 1` (the next pulse's delay). The
+/// differential suite holds the two views to identical answers.
 pub(crate) trait FaultView {
     fn ui_extra(&self, frame: u64) -> SimDuration;
     fn rs_extra(&self, frame: u64) -> SimDuration;
-    fn is_missed(&self, tick: u64) -> bool;
-    fn tick_delay(&self, tick: u64) -> SimDuration;
-    fn deny_alloc(&self, tick: u64) -> bool;
+    fn is_missed(&mut self, tick: u64) -> bool;
+    fn tick_delay(&mut self, tick: u64) -> SimDuration;
+    fn deny_alloc(&mut self, tick: u64) -> bool;
     fn rate_switches(&self) -> Vec<(u64, u32)>;
 }
 
@@ -111,13 +113,13 @@ impl FaultView for FaultSchedule {
     fn rs_extra(&self, frame: u64) -> SimDuration {
         FaultSchedule::rs_extra(self, frame)
     }
-    fn is_missed(&self, tick: u64) -> bool {
+    fn is_missed(&mut self, tick: u64) -> bool {
         FaultSchedule::is_missed(self, tick)
     }
-    fn tick_delay(&self, tick: u64) -> SimDuration {
+    fn tick_delay(&mut self, tick: u64) -> SimDuration {
         FaultSchedule::tick_delay(self, tick)
     }
-    fn deny_alloc(&self, tick: u64) -> bool {
+    fn deny_alloc(&mut self, tick: u64) -> bool {
         FaultSchedule::deny_alloc(self, tick)
     }
     fn rate_switches(&self) -> Vec<(u64, u32)> {
@@ -132,17 +134,39 @@ impl FaultView for CompiledFaults {
     fn rs_extra(&self, frame: u64) -> SimDuration {
         CompiledFaults::rs_extra(self, frame)
     }
-    fn is_missed(&self, tick: u64) -> bool {
+    fn is_missed(&mut self, tick: u64) -> bool {
         CompiledFaults::is_missed(self, tick)
     }
-    fn tick_delay(&self, tick: u64) -> SimDuration {
+    fn tick_delay(&mut self, tick: u64) -> SimDuration {
         CompiledFaults::tick_delay(self, tick)
     }
-    fn deny_alloc(&self, tick: u64) -> bool {
+    fn deny_alloc(&mut self, tick: u64) -> bool {
         CompiledFaults::deny_alloc(self, tick)
     }
     fn rate_switches(&self) -> Vec<(u64, u32)> {
         CompiledFaults::rate_switches(self).to_vec()
+    }
+}
+
+/// A borrowed view: pooled tables stay in their [`RunArena`] across runs.
+impl<F: FaultView> FaultView for &mut F {
+    fn ui_extra(&self, frame: u64) -> SimDuration {
+        (**self).ui_extra(frame)
+    }
+    fn rs_extra(&self, frame: u64) -> SimDuration {
+        (**self).rs_extra(frame)
+    }
+    fn is_missed(&mut self, tick: u64) -> bool {
+        (**self).is_missed(tick)
+    }
+    fn tick_delay(&mut self, tick: u64) -> SimDuration {
+        (**self).tick_delay(tick)
+    }
+    fn deny_alloc(&mut self, tick: u64) -> bool {
+        (**self).deny_alloc(tick)
+    }
+    fn rate_switches(&self) -> Vec<(u64, u32)> {
+        (**self).rate_switches()
     }
 }
 
@@ -175,12 +199,14 @@ struct FrameState {
 /// per-segment output that gets drained into the caller's combined report,
 /// and `combined` is a scratch slot for callers (calibration, sweep cells)
 /// that need a full report only transiently — see
-/// [`RunArena::with_scratch_report`].
+/// [`RunArena::with_scratch_report`]. The fault tables are the event-heap
+/// engine's [`CompiledFaults`], reloaded from each run's plan.
 pub struct RunArena {
     frames: Vec<Option<FrameState>>,
     rs_pending: VecDeque<usize>,
     rs_finished: Vec<(usize, SimTime)>,
     heap: EventQueue<Ev>,
+    faults: CompiledFaults,
     pub(crate) segment: RunReport,
     combined: RunReport,
 }
@@ -195,6 +221,7 @@ impl RunArena {
             // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
             rs_finished: Vec::new(),
             heap: EventQueue::new(),
+            faults: CompiledFaults::default(),
             segment: RunReport::default(),
             combined: RunReport::default(),
         }
@@ -237,9 +264,10 @@ pub(crate) struct Scratch<'a> {
 }
 
 impl RunArena {
-    /// Splits the arena into the state-machine scratch buffers and the
-    /// event heap (only the event-heap engine uses the latter).
-    pub(crate) fn split(&mut self) -> (Scratch<'_>, &mut EventQueue<Ev>) {
+    /// Splits the arena into the state-machine scratch buffers, the event
+    /// heap, and the fault tables (only the event-heap engine uses the
+    /// latter two).
+    pub(crate) fn split(&mut self) -> (Scratch<'_>, &mut EventQueue<Ev>, &mut CompiledFaults) {
         (
             Scratch {
                 frames: &mut self.frames,
@@ -247,6 +275,7 @@ impl RunArena {
                 rs_finished: &mut self.rs_finished,
             },
             &mut self.heap,
+            &mut self.faults,
         )
     }
 }
@@ -355,7 +384,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
 
     /// Commits this surface's injected rate switches (LTPO glitches /
     /// thermal caps) to the caller's timeline, recording each committed
-    /// switch. The materializer guarantees strictly increasing switch ticks,
+    /// switch. Fault resolution guarantees strictly increasing switch ticks,
     /// so each switch commits. On the single-pipeline path the surface's
     /// fault stream is also the panel's; composite runs reshape the shared
     /// timeline from the panel-level schedule instead (see [`compose`]).
@@ -390,12 +419,12 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
     }
 
     /// Whether this surface's fault stream swallows VSync tick `k`.
-    pub(crate) fn fault_missed(&self, k: u64) -> bool {
+    pub(crate) fn fault_missed(&mut self, k: u64) -> bool {
         self.faults.is_missed(k)
     }
 
     /// Whether this surface's fault stream delays VSync tick `k`.
-    pub(crate) fn fault_delayed(&self, k: u64) -> bool {
+    pub(crate) fn fault_delayed(&mut self, k: u64) -> bool {
         !self.faults.tick_delay(k).is_zero()
     }
 
@@ -683,7 +712,12 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         // tolerates clock jitter.
         let stuffed_threshold = timeline.period_at(0).mul_f64(2.2);
         let RunReport { records, janks, .. } = &mut *self.out;
-        records.sort_by_key(|r| r.present_tick);
+        // The queue is FIFO in frame order, so records collected in frame
+        // order are already in present order; the stable sort (and the
+        // scratch buffer it allocates past 20 records) is only a fallback.
+        if !records.is_sorted_by_key(|r| r.present_tick) {
+            records.sort_by_key(|r| r.present_tick);
+        }
         let mut ji = 0usize;
         for r in records.iter_mut() {
             let mut dropped = false;
@@ -766,7 +800,7 @@ impl<'a, F: FaultView> PipeState<'a, F> {
                     return StepOutcome::Done;
                 }
                 // An injected pulse delay shifts when the NEXT tick's event
-                // fires; the materializer clamps delays to a quarter period
+                // fires; fault resolution clamps delays to a quarter period
                 // so pulses stay ordered.
                 let pulse = self.timeline.pulse(k + 1);
                 sched(pulse.at + s.faults.tick_delay(pulse.tick), Ev::Tick(pulse.tick));

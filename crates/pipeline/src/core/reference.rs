@@ -108,7 +108,7 @@ pub(crate) fn execute(
     arena: &mut RunArena,
     out: &mut RunReport,
 ) -> CoreStats {
-    let (scratch, _heap) = arena.split();
+    let (scratch, _, _) = arena.split();
     let mut st = PipeState::new(cfg, trace, pacer, schedule, scratch, out);
     let mut dispatch = PollingDispatcher::new();
     dispatch.schedule(st.first_pulse_at(), Ev::Tick(0));

@@ -1,10 +1,10 @@
 //! The discrete-event rendering-pipeline simulator.
 //!
 //! The pipeline semantics live in [`crate::core`]; this module is the public
-//! entry point that validates inputs, materializes fault plans, and hands the
-//! run to the selected execution engine ([`SimCore`]).
+//! entry point that validates inputs and hands the run, with its fault plan,
+//! to the selected execution engine ([`SimCore`]).
 
-use dvs_faults::{FaultPlan, FaultSchedule, Horizon};
+use dvs_faults::{FaultPlan, FaultSchedule};
 use dvs_metrics::RunReport;
 use dvs_sim::DvsError;
 use dvs_workload::FrameTrace;
@@ -113,11 +113,11 @@ impl<'c> Simulator<'c> {
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
         self.validate(trace)?;
-        Ok(self.dispatch(trace, pacer, FaultSchedule::default(), arena, out))
+        Ok(self.dispatch(trace, pacer, None, arena, out))
     }
 
-    /// Pooled variant of [`Simulator::run_faulted`]: materializes the plan
-    /// over this run's horizon, then runs into the caller's arena and report.
+    /// Pooled variant of [`Simulator::run_faulted`]: resolves the plan over
+    /// this run's horizon, then runs into the caller's arena and report.
     pub fn try_run_faulted_into(
         &self,
         trace: &FrameTrace,
@@ -127,21 +127,17 @@ impl<'c> Simulator<'c> {
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
         self.validate(trace)?;
-        let horizon = Horizon::new(
-            trace.len() as u64,
-            self.cfg.tick_cap(trace.len()),
-            self.cfg.rate().period(),
-        );
-        let schedule = plan.materialize(&horizon);
-        Ok(self.dispatch(trace, pacer, schedule, arena, out))
+        Ok(self.dispatch(trace, pacer, Some(plan), arena, out))
     }
 
     /// Runs the trace under an injected [`FaultPlan`].
     ///
-    /// The plan is materialized over this run's exact horizon (trace length ×
-    /// tick cap) before the event loop starts, so the fault stream is a pure
-    /// function of `(plan, config, trace)` — identical inputs replay
-    /// byte-identically, including every degradation transition.
+    /// The plan resolves over this run's exact horizon (trace length × tick
+    /// cap), so the fault stream is a pure function of `(plan, config,
+    /// trace)` — identical inputs replay byte-identically, including every
+    /// degradation transition. The event-heap engine draws per-tick faults
+    /// as the run reaches them; the reference engine materializes the whole
+    /// schedule up front; both see the same faults.
     pub fn run_faulted(
         &self,
         trace: &FrameTrace,
@@ -168,15 +164,18 @@ impl<'c> Simulator<'c> {
         &self,
         trace: &FrameTrace,
         pacer: &mut dyn FramePacer,
-        schedule: FaultSchedule,
+        plan: Option<&FaultPlan>,
         arena: &mut RunArena,
         out: &mut RunReport,
     ) -> CoreStats {
         match self.core {
             SimCore::EventHeap => {
-                core::event_heap::execute(self.cfg, trace, pacer, &schedule, arena, out)
+                core::event_heap::execute(self.cfg, trace, pacer, plan, arena, out)
             }
             SimCore::Reference => {
+                let schedule = plan.map_or_else(FaultSchedule::default, |p| {
+                    p.materialize(&self.cfg.fault_horizon(trace.len()))
+                });
                 core::reference::execute(self.cfg, trace, pacer, schedule, arena, out)
             }
         }

@@ -14,12 +14,14 @@
 //! fault profile, then the trace seed), so adding devices to the population
 //! never disturbs earlier indices.
 
+use std::fmt::Write;
 use std::ops::Range;
 
 use dvs_sim::{stable_seed, SimRng};
 
 use crate::devices::{Device, MATE_40_PRO, MATE_60_PRO, PIXEL_5};
-use crate::{CostProfile, FrameTrace, ScenarioSpec};
+use crate::generator::fill_costs;
+use crate::{Backend, CostProfile, FrameTrace, ScenarioSpec};
 
 /// One weighted choice on a population axis.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,7 +122,23 @@ impl DeviceRun {
 
     /// Generates this device's frame trace.
     pub fn trace(&self) -> FrameTrace {
-        self.scenario().generate()
+        let mut trace = FrameTrace::new(String::new(), self.rate_hz);
+        self.trace_into(&mut trace);
+        trace
+    }
+
+    /// Generates this device's frame trace into `trace`, reusing its
+    /// allocations: the same trace as [`DeviceRun::scenario`] generates,
+    /// without building the spec (whose name hash the device's own trace
+    /// seed overrides).
+    pub fn trace_into(&self, trace: &mut FrameTrace) {
+        self.cost.validate();
+        trace.name.clear();
+        // Formatting into a String cannot fail.
+        let _ = write!(trace.name, "fleet/{}/{}", self.mix, self.index);
+        trace.rate_hz = self.rate_hz;
+        trace.backend = Backend::Gles;
+        fill_costs(&self.cost, trace.period(), self.frames, self.trace_seed, &mut trace.frames);
     }
 
     /// The seed key for this device's fault plan, unique per
@@ -335,6 +353,21 @@ mod tests {
         other.seed ^= 1;
         let differs = (0..64).any(|i| spec.device(i) != other.device(i));
         assert!(differs, "seed must matter");
+    }
+
+    #[test]
+    fn pooled_device_traces_match_the_device_scenario() {
+        // One pooled trace, refilled across devices of every rate and mix,
+        // must hold exactly what each device's own scenario generates.
+        let spec = FleetSpec::tiny(200, 45);
+        let mut pooled = FrameTrace::new("stale", 1);
+        for i in 0..200 {
+            let dev = spec.device(i).unwrap();
+            let expected = dev.scenario().generate();
+            dev.trace_into(&mut pooled);
+            assert_eq!(pooled, expected, "device {i}");
+            assert_eq!(dev.trace(), expected, "device {i}");
+        }
     }
 
     #[test]

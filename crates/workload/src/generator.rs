@@ -297,47 +297,70 @@ impl<'a> TraceGenerator<'a> {
 
     /// Produces the trace. Deterministic in the spec (including its seed).
     pub fn generate(&self) -> FrameTrace {
-        let spec = self.spec;
-        let c = &spec.cost;
-        let period_ms = spec.period().as_millis_f64();
-        let mut rng = SimRng::seed_from(spec.seed);
-
-        let short = LogNormal::from_median(c.short_median_frac * period_ms, c.short_sigma);
-        let long = Pareto::new(c.long_min_periods * period_ms, c.long_alpha)
-            .truncated(c.long_max_periods * period_ms);
-        // Probability that an independent key frame fires on any given frame:
-        // one frame is produced per period in steady state.
-        let p_long = (c.long_rate_per_sec * period_ms / 1e3).min(0.9);
-
-        let mut trace = FrameTrace::new(spec.name.clone(), spec.rate_hz).with_backend(spec.backend);
-        let mut in_burst = false;
-        for _ in 0..spec.frames {
-            let is_long =
-                if in_burst { true } else { c.long_rate_per_sec > 0.0 && rng.chance(p_long) };
-            let (ui_ms, rs_ms) = if is_long {
-                in_burst = rng.chance(c.cluster_p);
-                let total = long.sample(&mut rng);
-                // The spike hits one stage; the other does ordinary work.
-                let base = (short.sample(&mut rng) * c.ui_share).min(0.3 * period_ms);
-                if rng.chance(c.long_ui_spike_p) {
-                    (total - base, base)
-                } else {
-                    (base, total - base)
-                }
-            } else {
-                in_burst = false;
-                // Cap short frames below a period: they are "short" by
-                // definition; the tail belongs to the long process.
-                let total = short.sample(&mut rng).min(0.95 * period_ms);
-                // Split across stages with a little per-frame wobble.
-                let share = (c.ui_share + 0.05 * rng.next_normal()).clamp(0.05, 0.95);
-                (total * share, total * (1.0 - share))
-            };
-            let ui = SimDuration::from_millis_f64(ui_ms);
-            let rs = SimDuration::from_millis_f64(rs_ms);
-            trace.push(FrameCost::new(ui, rs));
-        }
+        let mut trace = FrameTrace::new(String::new(), self.spec.rate_hz);
+        self.generate_into(&mut trace);
         trace
+    }
+
+    /// Produces the trace into `trace`, overwriting its name, rate, backend
+    /// and frames while reusing its allocations — the pooled form of
+    /// [`TraceGenerator::generate`], which delegates here.
+    pub fn generate_into(&self, trace: &mut FrameTrace) {
+        let spec = self.spec;
+        trace.name.clone_from(&spec.name);
+        trace.rate_hz = spec.rate_hz;
+        trace.backend = spec.backend;
+        fill_costs(&spec.cost, spec.period(), spec.frames, spec.seed, &mut trace.frames);
+    }
+}
+
+/// Draws `frames` frame costs of the `cost` process at refresh `period`
+/// from the stream seeded by `seed`, replacing `out`'s contents. The cost
+/// profile must already be validated.
+pub(crate) fn fill_costs(
+    c: &CostProfile,
+    period: SimDuration,
+    frames: usize,
+    seed: u64,
+    out: &mut Vec<FrameCost>,
+) {
+    let period_ms = period.as_millis_f64();
+    let mut rng = SimRng::seed_from(seed);
+
+    let short = LogNormal::from_median(c.short_median_frac * period_ms, c.short_sigma);
+    let long = Pareto::new(c.long_min_periods * period_ms, c.long_alpha)
+        .truncated(c.long_max_periods * period_ms);
+    // Probability that an independent key frame fires on any given frame:
+    // one frame is produced per period in steady state.
+    let p_long = (c.long_rate_per_sec * period_ms / 1e3).min(0.9);
+
+    out.clear();
+    out.reserve(frames);
+    let mut in_burst = false;
+    for _ in 0..frames {
+        let is_long = if in_burst { true } else { c.long_rate_per_sec > 0.0 && rng.chance(p_long) };
+        let (ui_ms, rs_ms) = if is_long {
+            in_burst = rng.chance(c.cluster_p);
+            let total = long.sample(&mut rng);
+            // The spike hits one stage; the other does ordinary work.
+            let base = (short.sample(&mut rng) * c.ui_share).min(0.3 * period_ms);
+            if rng.chance(c.long_ui_spike_p) {
+                (total - base, base)
+            } else {
+                (base, total - base)
+            }
+        } else {
+            in_burst = false;
+            // Cap short frames below a period: they are "short" by
+            // definition; the tail belongs to the long process.
+            let total = short.sample(&mut rng).min(0.95 * period_ms);
+            // Split across stages with a little per-frame wobble.
+            let share = (c.ui_share + 0.05 * rng.next_normal()).clamp(0.05, 0.95);
+            (total * share, total * (1.0 - share))
+        };
+        let ui = SimDuration::from_millis_f64(ui_ms);
+        let rs = SimDuration::from_millis_f64(rs_ms);
+        out.push(FrameCost::new(ui, rs));
     }
 }
 
@@ -353,6 +376,18 @@ mod tests {
     fn deterministic_for_same_spec() {
         let s = spec(60, 1000, CostProfile::scattered(2.0));
         assert_eq!(s.generate(), s.generate());
+    }
+
+    #[test]
+    fn generate_into_overwrites_a_pooled_trace() {
+        let long = spec(60, 500, CostProfile::clustered(3.0));
+        let short = ScenarioSpec::new("short", 120, 40, CostProfile::scattered(2.0))
+            .with_backend(Backend::Vulkan);
+        let mut pooled = FrameTrace::new("stale", 90);
+        for s in [&long, &short, &long] {
+            TraceGenerator::new(s).generate_into(&mut pooled);
+            assert_eq!(pooled, s.generate());
+        }
     }
 
     #[test]

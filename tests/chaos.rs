@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 
 use dvsync::core::WatchdogConfig;
-use dvsync::faults::{FaultEvent, FaultPlan, StochasticFault, StochasticKind};
+use dvsync::faults::{
+    CompiledFaults, FaultEvent, FaultPlan, Horizon, StochasticFault, StochasticKind,
+};
 use dvsync::pipeline::{FramePacer, FramePlan, PacerCtx, PipelineConfig, Simulator};
 use dvsync::prelude::*;
 use dvsync::sim::SimRng;
@@ -192,6 +194,37 @@ proptest! {
             serde_json::to_string(&report).expect("reports serialize")
         };
         prop_assert_eq!(run(), run(), "replay diverged");
+    }
+
+    /// Fault tables drawn on demand answer every query exactly as the
+    /// materialized schedule does — scheduled events stacked on stochastic
+    /// processes, rate switches, far-future events — at every paper rate,
+    /// with ticks asked in run order up to and past the horizon.
+    #[test]
+    fn on_demand_faults_answer_like_the_materialized_schedule(
+        seed in any::<u64>(),
+        sched in prop::collection::vec((0u8..6, 0u64..1_500, 0u64..40), 0..16),
+        stoch in prop::collection::vec((0u8..5, 0u64..=100, 0u64..25), 0..5),
+        frames in 1u64..120,
+        rate in 0usize..3,
+    ) {
+        let plan = build_plan(seed, &sched, &stoch);
+        let rate_hz = [60u64, 90, 120][rate];
+        let period = dvsync::sim::SimDuration::from_nanos(1_000_000_000 / rate_hz);
+        let horizon = Horizon::new(frames, 20 * frames + 200, period);
+        let schedule = plan.materialize(&horizon);
+        let mut faults = CompiledFaults::from_plan(&plan, &horizon);
+        for tick in 0..=horizon.ticks + 2 {
+            prop_assert_eq!(faults.is_missed(tick), schedule.is_missed(tick), "miss @{}", tick);
+            prop_assert_eq!(faults.tick_delay(tick), schedule.tick_delay(tick), "delay @{}", tick);
+            prop_assert_eq!(faults.deny_alloc(tick), schedule.deny_alloc(tick), "deny @{}", tick);
+        }
+        for frame in 0..frames + 2 {
+            prop_assert_eq!(faults.ui_extra(frame), schedule.ui_extra(frame), "ui @{}", frame);
+            prop_assert_eq!(faults.rs_extra(frame), schedule.rs_extra(frame), "rs @{}", frame);
+        }
+        let switches = schedule.rate_switches();
+        prop_assert_eq!(faults.rate_switches(), switches.as_slice());
     }
 }
 
