@@ -27,12 +27,27 @@ fn bench_buffer_queue(c: &mut Criterion) {
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
+    // Deeper than any simulator run holds (at most 2 * (3 + render
+    // threads) pending), where the run queue's linear insert costs most.
     group.bench_function("schedule_pop_depth_64", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
         for i in 0..64u64 {
             q.schedule(SimTime::from_nanos(i * 1000), i);
         }
         let mut t = 64_000u64;
+        b.iter(|| {
+            q.schedule(SimTime::from_nanos(t), t);
+            t += 1000;
+            q.pop()
+        });
+    });
+    // The simulator's steady state: about 3 events pending.
+    group.bench_function("schedule_pop_depth_4", |b| {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..4u64 {
+            q.schedule(SimTime::from_nanos(i * 1000), i);
+        }
+        let mut t = 4_000u64;
         b.iter(|| {
             q.schedule(SimTime::from_nanos(t), t);
             t += 1000;

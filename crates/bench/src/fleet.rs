@@ -36,14 +36,17 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::fingerprint_of;
 use crate::resilient::{execute_cells, restore_progress, ResilienceConfig};
 
-/// How many homogeneous lanes the batched engine steps in lockstep.
+/// How many homogeneous lanes the batched engine hands to one
+/// [`run_batch`] call. Each lane runs to completion in its own warm arena,
+/// so the width only sets how many arenas a shard keeps warm.
 pub const BATCH_WIDTH: usize = 64;
 
 /// Which engine a fleet run drives its devices through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEngine {
-    /// The SoA batch kernel: devices bucketed by (rate, buffers) and run
-    /// [`BATCH_WIDTH`] at a time in lockstep. The production path.
+    /// The batch kernel: devices bucketed by (rate, buffers) and handed to
+    /// [`run_batch`] [`BATCH_WIDTH`] at a time, each lane run to completion
+    /// in a pooled arena. The production path.
     Batched,
     /// One [`Simulator`] run per device. The differential oracle.
     PerDevice,

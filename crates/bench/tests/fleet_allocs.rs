@@ -17,8 +17,9 @@
 //! * the `BufferQueue`'s slot `Vec` and its FIFO `VecDeque`;
 //! * the D-VSync pacer's DTV deque.
 //!
-//! Bucket vectors, the batch's live-lane list and the cold first use of each
-//! lane add a fraction of an allocation per device.
+//! Bucket vectors and the cold first use of each lane add a fraction of an
+//! allocation per device. The batch kernel itself allocates nothing: it runs
+//! each lane to completion in that lane's own warm arena.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -118,6 +118,9 @@ pub struct BufferQueue {
     /// Queued slot indices in FIFO order.
     fifo: VecDeque<usize>,
     front: Option<usize>,
+    /// Slots in the `Free` state, kept in step with `slots` so the
+    /// producer's per-decision free count is O(1).
+    free: usize,
     max_queued_observed: usize,
     total_queued: u64,
     total_acquired: u64,
@@ -159,6 +162,7 @@ impl BufferQueue {
             slots: vec![SlotState::Free; capacity],
             fifo: VecDeque::with_capacity(capacity),
             front: None,
+            free: capacity,
             max_queued_observed: 0,
             total_queued: 0,
             total_acquired: 0,
@@ -177,7 +181,7 @@ impl BufferQueue {
 
     /// Buffers currently free for the producer to dequeue.
     pub fn free_len(&self) -> usize {
-        self.slots.iter().filter(|s| **s == SlotState::Free).count()
+        self.free
     }
 
     /// Buffers currently dequeued (being rendered into).
@@ -210,8 +214,12 @@ impl BufferQueue {
     /// Returns `None` when every buffer is in flight — the back-pressure that
     /// blocks rendering in both VSync and D-VSync architectures.
     pub fn dequeue_free(&mut self) -> Option<SlotId> {
+        if self.free == 0 {
+            return None;
+        }
         let idx = self.slots.iter().position(|s| *s == SlotState::Free)?;
         self.slots[idx] = SlotState::Dequeued;
+        self.free -= 1;
         Some(SlotId(idx))
     }
 
@@ -286,6 +294,7 @@ impl BufferQueue {
         };
         if let Some(prev) = self.front.replace(idx) {
             self.slots[prev] = SlotState::Free;
+            self.free += 1;
         }
         self.total_acquired += 1;
         Some(AcquiredBuffer {
@@ -322,6 +331,10 @@ impl BufferQueue {
         }
         if (fronts == 1) != self.front.is_some() {
             return Err("front index out of sync with slot states".into());
+        }
+        let free = self.slots.iter().filter(|s| **s == SlotState::Free).count();
+        if free != self.free {
+            return Err(format!("free count {} out of sync with {free} free slots", self.free));
         }
         let queued = self.slots.iter().filter(|s| matches!(s, SlotState::Queued { .. })).count();
         if queued != self.fifo.len() {

@@ -114,7 +114,7 @@ impl Dtv {
 
     /// The current period estimate.
     pub fn period_estimate(&self) -> SimDuration {
-        SimDuration::from_nanos(self.period_est_ns.round() as u64)
+        SimDuration::from_nanos(dvs_sim::round_u64(self.period_est_ns))
     }
 
     /// Assigns frame `seq` its display slot: the later of the earliest

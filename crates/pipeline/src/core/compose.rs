@@ -3,7 +3,7 @@
 //! [`CompositeState`] steps M [`SurfaceState`]s against a single shared
 //! [`VsyncTimeline`]. Panel ticks are global events; everything else
 //! (UI/render completions, pacer wakes) is tagged with the surface it
-//! belongs to and joins the same `(time, insertion seq)` order the
+//! belongs to and joins the same `(time, insertion order)` order the
 //! single-pipeline engines use — which is what keeps composite replay
 //! byte-identical, and what collapses an M=1 composite run to the *exact*
 //! event sequence of [`PipeState`](super::PipeState) (pinned by
@@ -48,8 +48,8 @@ pub(crate) enum CompositeEv {
 /// per surface plus the shared surface-tagged event heap.
 ///
 /// Like [`RunArena`], a warm composite arena replays byte-identically to a
-/// fresh one: every buffer (including the heap's tie-break counter) is
-/// reset before the first event fires.
+/// fresh one: every buffer (including the run queue and its
+/// `total_scheduled` counter) is reset before the first event fires.
 pub struct CompositeArena {
     surfaces: Vec<RunArena>,
     heap: EventQueue<CompositeEv>,
@@ -138,7 +138,7 @@ impl<'a, F: FaultView> CompositeState<'a, F> {
         &mut self,
         t: SimTime,
         ev: CompositeEv,
-        sched: &mut dyn FnMut(SimTime, CompositeEv),
+        sched: &mut impl FnMut(SimTime, CompositeEv),
     ) -> StepOutcome {
         let Self { timeline, tick_cap, budget, panel_faults, latch_order, surfaces } = self;
         match ev {
@@ -323,8 +323,8 @@ pub(crate) fn execute<'a>(
                 arenas,
                 outs,
             );
-            // A pooled heap must rewind its tie-break sequence counter so
-            // reused runs stay bit-identical to fresh ones.
+            // A pooled queue must rewind its `total_scheduled` counter so
+            // reused runs report the same stats as fresh ones.
             heap.reset();
             heap.reserve(capacity);
             heap.schedule(st.first_pulse_at(), CompositeEv::Tick(0));

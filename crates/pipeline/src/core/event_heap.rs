@@ -1,12 +1,13 @@
 //! The event-heap execution engine (the production default).
 //!
-//! Dispatch is a pre-sized indexed binary heap ([`dvs_sim::EventQueue`])
-//! keyed by `(time, insertion seq)`: the loop pops the next due event and
-//! jumps the clock straight to it — no polling quanta, no dead iterations
-//! between VSync pulses. The steady-state loop performs **zero heap
-//! allocations**:
+//! Dispatch is a pre-sized sorted run queue ([`dvs_sim::EventQueue`]) that
+//! pops events in `(time, insertion order)`: the loop pops the next due
+//! event and jumps the clock straight to it — no polling quanta, no dead
+//! iterations between VSync pulses. (The engine keeps its historical name;
+//! at the handful of events a run holds pending, a linear insert beats a
+//! binary heap.) The steady-state loop performs **zero heap allocations**:
 //!
-//! * the event heap is pre-sized to the worst-case population (one pending
+//! * the run queue is pre-sized to the worst-case population (one pending
 //!   tick + one wake + one UI completion + one render completion per
 //!   context, with slack for stale wakes);
 //! * fault lookups go through [`CompiledFaults`](dvs_faults::CompiledFaults)
@@ -16,6 +17,9 @@
 //!   empty tables and a zero flag word);
 //! * all per-frame state lives in vectors sized from the trace before the
 //!   first event fires.
+//!
+//! The state machine takes its scheduler callback as a generic, so the
+//! queue insert inlines into each step.
 
 use dvs_faults::FaultPlan;
 use dvs_metrics::RunReport;
@@ -25,14 +29,14 @@ use super::{CoreStats, Ev, PipeState, RunArena, StepOutcome};
 use crate::config::PipelineConfig;
 use crate::pacer::FramePacer;
 
-/// Worst-case concurrent heap population: one pending tick, one wake, one
+/// Worst-case concurrent queue population: one pending tick, one wake, one
 /// UI completion, one render completion per context — doubled for stale
 /// wakes that remain queued after a better plan superseded them.
-pub(crate) fn heap_capacity(render_threads: usize) -> usize {
+fn heap_capacity(render_threads: usize) -> usize {
     2 * (3 + render_threads)
 }
 
-/// Runs one trace to completion on the event heap, under `plan`'s faults
+/// Runs one trace to completion on the run queue, under `plan`'s faults
 /// (`None` runs clean), writing the run report into `out` and using `arena`
 /// buffers for all transient state.
 pub(crate) fn execute(
@@ -45,8 +49,8 @@ pub(crate) fn execute(
 ) -> CoreStats {
     let (scratch, heap, faults) = arena.split();
     faults.reload(plan, &cfg.fault_horizon(trace.len()));
-    // A pooled heap must rewind its tie-break sequence counter so reused
-    // runs stay bit-identical to fresh ones.
+    // A pooled queue must rewind its `total_scheduled` counter so reused
+    // runs report the same stats as fresh ones.
     heap.reset();
     heap.reserve(heap_capacity(cfg.render_threads));
     let mut st = PipeState::new(cfg, trace, pacer, faults, scratch, out);

@@ -21,9 +21,9 @@
 //!   that pays per-quantum overhead even when nothing happens between
 //!   VSync pulses.
 //! * [`event_heap`] — the production core. Events sit in a pre-sized
-//!   indexed binary heap ([`dvs_sim::EventQueue`]) and the loop jumps
+//!   sorted run queue ([`dvs_sim::EventQueue`]) and the loop jumps
 //!   straight from one event to the next; the steady state allocates
-//!   nothing.
+//!   nothing. The fleet's [`batch`] entry point runs each lane through it.
 //!
 //! Both engines must produce **byte-identical** [`RunReport`]s; the
 //! repo-level differential suites (`tests/differential.rs`,
@@ -186,14 +186,13 @@ struct FrameState {
 /// is not part of its output.
 ///
 /// A fresh run allocates per-frame state vectors, render-stage queues, the
-/// event heap, and report vectors — a dozen allocations whose sizes repeat
+/// event queue, and report vectors — a dozen allocations whose sizes repeat
 /// across every cell of a sweep grid. An arena owns those buffers once per
 /// worker thread; each run `clear`s and reuses them, so a warm arena runs an
 /// entire grid without touching the allocator. Runs through an arena are
 /// **byte-identical** to fresh runs: every buffer is reset to its
-/// freshly-constructed state (including the event heap's deterministic
-/// tie-break sequence, see [`EventQueue::reset`]) before the first event
-/// fires.
+/// freshly-constructed state (including the event queue's counter, see
+/// [`EventQueue::reset`]) before the first event fires.
 ///
 /// The two [`RunReport`] slots serve the segmented runner: `segment` is the
 /// per-segment output that gets drained into the caller's combined report,
@@ -519,7 +518,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         &mut self,
         now: SimTime,
         timeline: &VsyncTimeline,
-        sched: &mut dyn FnMut(SimTime, Ev),
+        sched: &mut impl FnMut(SimTime, Ev),
     ) {
         if self.next_frame >= self.trace.len() || self.ui_busy {
             return;
@@ -586,7 +585,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         &mut self,
         now: SimTime,
         timeline: &VsyncTimeline,
-        sched: &mut dyn FnMut(SimTime, Ev),
+        sched: &mut impl FnMut(SimTime, Ev),
     ) {
         while self.rs_active < self.cfg.render_threads {
             let Some(&frame) = self.rs_pending.front() else { return };
@@ -784,7 +783,7 @@ impl<'a, F: FaultView> PipeState<'a, F> {
         &mut self,
         t: SimTime,
         ev: Ev,
-        sched: &mut dyn FnMut(SimTime, Ev),
+        sched: &mut impl FnMut(SimTime, Ev),
     ) -> StepOutcome {
         let s = &mut self.surface;
         match ev {

@@ -13,9 +13,10 @@
 //! 1. Events are handed to the state machine at their **exact** scheduled
 //!    time (the clock only gates *when* they are noticed, never the timestamp
 //!    they carry), so every handler sees the same `now` as under the heap.
-//! 2. Insertion sequence numbers are assigned in the same order as
-//!    [`dvs_sim::EventQueue`] assigns them, and due events are released in
-//!    `(time, seq)` order — the identical tie-break rule.
+//! 2. Sequence numbers record insertion order, and due events are released
+//!    in `(time, seq)` order — the tie-break [`dvs_sim::EventQueue`]
+//!    encodes in its entries' positions, reached here by an independent
+//!    mechanism.
 //!
 //! It also reads faults straight from the materialized [`FaultSchedule`]
 //! (ordered-map probes), cross-checking the event-heap core's compiled
@@ -61,7 +62,7 @@ impl<E: Copy> PollingDispatcher<E> {
         }
     }
 
-    /// Appends an event; sequence numbers mirror `EventQueue::schedule`.
+    /// Appends an event, stamped with its insertion order.
     pub(crate) fn schedule(&mut self, at: SimTime, ev: E) {
         self.pending.push((at, self.next_seq, ev));
         self.next_seq += 1;

@@ -181,7 +181,8 @@ impl<'c> Simulator<'c> {
         }
     }
 
-    fn validate(&self, trace: &FrameTrace) -> Result<(), DvsError> {
+    /// Rejects an empty trace or one recorded at another rate.
+    pub(crate) fn validate(&self, trace: &FrameTrace) -> Result<(), DvsError> {
         if trace.is_empty() {
             return Err(DvsError::EmptyTrace);
         }

@@ -1,34 +1,30 @@
 //! A deterministic future-event list.
 //!
-//! [`EventQueue`] is an indexed binary min-heap keyed by `(time, sequence)`
-//! where the sequence number records insertion order. Two events scheduled
-//! for the same instant therefore pop in the order they were scheduled,
-//! which keeps simulations bit-for-bit reproducible regardless of heap
-//! internals.
+//! [`EventQueue`] is a sorted run queue: a plain `Vec` kept latest-first,
+//! so the earliest pending event is always the last entry and `pop` is
+//! `Vec::pop`. `schedule` walks back from the end past every entry due at
+//! or before the new one and inserts there, so an entry's position encodes
+//! the `(time, insertion order)` tie-break: two events scheduled for the
+//! same instant pop in the order they were scheduled, which keeps
+//! simulations bit-for-bit reproducible.
 //!
-//! The heap is hand-rolled over a plain `Vec` (explicit index arithmetic,
-//! `sift_up`/`sift_down`) rather than wrapping `std::collections::BinaryHeap`
-//! so the simulator hot path can pre-size it ([`EventQueue::with_capacity`])
-//! and keep the steady-state loop allocation-free: once the backing vector
-//! has grown to the run's working set, `schedule`/`pop` never touch the
-//! allocator again.
+//! Insertion is linear in the number of pending events. That suits the
+//! simulator, whose runs hold at most 2·(3 + render threads) pending events
+//! and about 3 in steady state: at that size a short backward walk and one
+//! small `memmove` cost less than a binary heap's data-dependent sift
+//! branches. A queue holding hundreds of events would want a heap.
+//!
+//! The backing `Vec` can be pre-sized ([`EventQueue::with_capacity`]) so the
+//! simulator hot path stays allocation-free: once it has grown to the run's
+//! working set, `schedule`/`pop` never touch the allocator again.
 
 use crate::SimTime;
 
-/// A pending event: ordered by time, then by insertion sequence.
+/// A pending event.
 #[derive(Clone, Copy, Debug)]
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
     payload: E,
-}
-
-impl<E> Entry<E> {
-    /// Strict `(time, seq)` ordering; `seq` is unique, so ties cannot occur.
-    #[inline]
-    fn before(&self, other: &Self) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
-    }
 }
 
 /// A deterministic priority queue of timestamped events.
@@ -47,10 +43,9 @@ impl<E> Entry<E> {
 /// assert_eq!(order, ['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    /// Binary min-heap in the classic implicit-tree layout: children of the
-    /// entry at index `i` live at `2i + 1` and `2i + 2`.
-    heap: Vec<Entry<E>>,
-    next_seq: u64,
+    /// Pending events sorted latest-first; among equal instants the entry
+    /// scheduled first sits nearer the end, so it pops first.
+    run: Vec<Entry<E>>,
     /// Total events ever scheduled (diagnostics for throughput reporting).
     scheduled: u64,
 }
@@ -59,7 +54,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         // dvs-lint: allow(hot-alloc, reason = "empty Vec::new is allocation-free; hot callers pre-size via with_capacity/reserve")
-        EventQueue { heap: Vec::new(), next_seq: 0, scheduled: 0 }
+        EventQueue { run: Vec::new(), scheduled: 0 }
     }
 
     /// Creates an empty queue with room for `capacity` pending events.
@@ -67,55 +62,47 @@ impl<E> EventQueue<E> {
     /// Sizing the queue to a run's expected working set keeps the
     /// steady-state `schedule`/`pop` cycle free of allocator traffic.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue { heap: Vec::with_capacity(capacity), next_seq: 0, scheduled: 0 }
+        EventQueue { run: Vec::with_capacity(capacity), scheduled: 0 }
     }
 
     /// Ensures room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        self.run.reserve(additional);
     }
 
     /// The number of pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.run.capacity()
     }
 
     /// Schedules `payload` to fire at instant `at`.
     ///
-    /// Events scheduled for the same instant fire in scheduling order.
+    /// Events scheduled for the same instant fire in scheduling order. Takes
+    /// time linear in the number of pending events due at or before `at`.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.scheduled += 1;
-        self.heap.push(Entry { at, seq, payload });
-        self.sift_up(self.heap.len() - 1);
+        let idx = self.run.iter().rposition(|e| e.at > at).map_or(0, |i| i + 1);
+        self.run.insert(idx, Entry { at, payload });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        // dvs-lint: allow(panic, reason = "checked_sub above proves the heap is non-empty")
-        let entry = self.heap.pop().expect("non-empty after len check");
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some((entry.at, entry.payload))
+        self.run.pop().map(|e| (e.at, e.payload))
     }
 
     /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.run.last().map(|e| e.at)
     }
 
     /// The number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty()
     }
 
     /// Total events ever scheduled on this queue (not just pending).
@@ -125,60 +112,18 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events, keeping the backing allocation.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.run.clear();
     }
 
     /// Returns the queue to its freshly-constructed state while keeping the
     /// backing allocation.
     ///
-    /// Unlike [`EventQueue::clear`], this also rewinds the insertion-sequence
-    /// counter and the `total_scheduled` diagnostic. A pooled queue that is
-    /// reused across simulation runs must call this between runs: sequence
-    /// numbers are the deterministic tie-break for same-instant events, so a
-    /// reused queue that kept counting would dispatch ties in a different
-    /// order than a fresh queue and break bit-for-bit reproducibility.
+    /// Unlike [`EventQueue::clear`], this also rewinds the `total_scheduled`
+    /// diagnostic, so a pooled queue reused across simulation runs reports
+    /// each run's count exactly as a fresh queue would.
     pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
+        self.run.clear();
         self.scheduled = 0;
-    }
-
-    /// Restores the heap invariant upward from `idx` after a push.
-    fn sift_up(&mut self, mut idx: usize) {
-        while idx > 0 {
-            let parent = (idx - 1) / 2;
-            // dvs-lint: allow(index, reason = "idx < len by loop entry and parent = (idx-1)/2 < idx")
-            if self.heap[idx].before(&self.heap[parent]) {
-                self.heap.swap(idx, parent);
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Restores the heap invariant downward from `idx` after a pop.
-    fn sift_down(&mut self, mut idx: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * idx + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let mut smallest = left;
-            // dvs-lint: allow(index, reason = "left < len checked above; right < len guards the right access")
-            if right < len && self.heap[right].before(&self.heap[left]) {
-                smallest = right;
-            }
-            // dvs-lint: allow(index, reason = "smallest is left or right, both proven < len; idx < left < len")
-            if self.heap[smallest].before(&self.heap[idx]) {
-                self.heap.swap(idx, smallest);
-                idx = smallest;
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -191,7 +136,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.run.len())
             .field("next", &self.peek_time())
             .finish()
     }
@@ -303,48 +248,63 @@ mod tests {
         assert_eq!(q.capacity(), cap, "steady-state loop must not reallocate");
     }
 
+    /// Removes the model's earliest `(time, seq)` entry.
+    fn pop_model(model: &mut Vec<(SimTime, u64, u32)>) -> Option<(SimTime, u32)> {
+        let best = model.iter().enumerate().min_by_key(|(_, &(t, s, _))| (t, s)).map(|(i, _)| i)?;
+        let (t, _, p) = model.swap_remove(best);
+        Some((t, p))
+    }
+
     #[test]
     fn matches_sorted_model_under_random_interleaving() {
-        // Differential check of the hand-rolled heap against a sort: random
-        // schedule/pop interleavings must agree with (time, seq) order.
-        let mut rng = SimRng::seed_from(0xD15C0);
-        let mut q = EventQueue::new();
-        let mut model: Vec<(SimTime, u64, u32)> = Vec::new();
-        let mut seq = 0u64;
-        let mut popped = Vec::new();
-        let mut expected = Vec::new();
-        for step in 0..5_000u32 {
-            if !rng.next_u64().is_multiple_of(3) || model.is_empty() {
-                let at = SimTime::from_nanos(rng.next_u64() % 1_000);
-                q.schedule(at, step);
-                model.push((at, seq, step));
-                seq += 1;
-            } else {
-                let (at, payload) = q.pop().expect("model non-empty");
-                let best = model
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(t, s, _))| (t, s))
-                    .map(|(i, _)| i)
-                    .expect("model non-empty");
-                let (mt, _, mp) = model.swap_remove(best);
-                popped.push((at, payload));
-                expected.push((mt, mp));
+        // Differential check of the run queue against a sort: random
+        // schedule/pop interleavings must agree with (time, seq) order. Two
+        // inputs: uniform times over a deep queue, and the simulator's shape
+        // (at most 8 pending, follow-ups scheduled at the popped instant or a
+        // few fixed offsets after it, so equal-time ties are common).
+        for simulator_shaped in [false, true] {
+            let mut rng = SimRng::seed_from(0xD15C0);
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, u64, u32)> = Vec::new();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut popped = Vec::new();
+            let mut expected = Vec::new();
+            for step in 0..5_000u32 {
+                let roll = rng.next_u64();
+                let schedule = if simulator_shaped {
+                    model.len() < 8 && roll.is_multiple_of(2)
+                } else {
+                    !roll.is_multiple_of(3)
+                };
+                if schedule || model.is_empty() {
+                    let at = if simulator_shaped {
+                        now + match rng.next_below(4) {
+                            0 | 1 => 0,
+                            2 => 500,
+                            _ => 16_667,
+                        }
+                    } else {
+                        rng.next_u64() % 1_000
+                    };
+                    let at = SimTime::from_nanos(at);
+                    q.schedule(at, step);
+                    model.push((at, seq, step));
+                    seq += 1;
+                } else {
+                    let (at, payload) = q.pop().expect("model non-empty");
+                    now = at.as_nanos();
+                    popped.push((at, payload));
+                    expected.push(pop_model(&mut model).expect("model non-empty"));
+                }
             }
+            while let Some(got) = q.pop() {
+                popped.push(got);
+                expected.push(pop_model(&mut model).expect("queue and model agree on emptiness"));
+            }
+            assert!(model.is_empty());
+            assert_eq!(popped, expected, "simulator-shaped: {simulator_shaped}");
         }
-        while let Some((at, payload)) = q.pop() {
-            let best = model
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(t, s, _))| (t, s))
-                .map(|(i, _)| i)
-                .expect("queue and model agree on emptiness");
-            let (mt, _, mp) = model.swap_remove(best);
-            popped.push((at, payload));
-            expected.push((mt, mp));
-        }
-        assert!(model.is_empty());
-        assert_eq!(popped, expected);
     }
 
     #[test]

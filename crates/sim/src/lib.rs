@@ -3,7 +3,10 @@
 //! Every other crate in the workspace builds on the primitives here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable, deterministic future-event list,
+//! * [`EventQueue`] — a stable, deterministic future-event list: a small
+//!   sorted run queue sized for the handful of events a run holds pending,
+//! * [`round_u64`] — `f64::round` then `as u64`, bit for bit, without the
+//!   software rounding routine the x86-64 baseline target would call,
 //! * [`SimRng`] — a seedable, reproducible pseudo-random number generator
 //!   (xoshiro256**), independent of platform entropy so that every simulation
 //!   run is replayable from its seed.
@@ -34,4 +37,4 @@ pub use error::{DvsError, DvsResult};
 pub use event::EventQueue;
 pub use hash::{fnv1a, Fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use rng::{stable_seed, SimRng};
-pub use time::{SimDuration, SimTime};
+pub use time::{round_u64, SimDuration, SimTime};

@@ -135,13 +135,13 @@ impl SimDuration {
     /// Creates a span from fractional milliseconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
     pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms.max(0.0) * 1e6).round() as u64)
+        SimDuration(round_u64(ms.max(0.0) * 1e6))
     }
 
     /// Creates a span from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_u64(s.max(0.0) * 1e9))
     }
 
     /// The span in nanoseconds.
@@ -176,7 +176,7 @@ impl SimDuration {
 
     /// Multiplies by a float factor, clamping negatives to zero.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor).max(0.0).round() as u64)
+        SimDuration(round_u64((self.0 as f64 * factor).max(0.0)))
     }
 
     /// How many whole `other` spans fit in `self`.
@@ -316,6 +316,34 @@ impl From<u64> for SimDuration {
     }
 }
 
+/// Rounds to the nearest integer, half away from zero, with the saturating
+/// `as` cast: exactly `x.round() as u64` for every `x`, so NaN and
+/// negatives give 0 and anything at or past 2^64 gives `u64::MAX`.
+///
+/// The x86-64 baseline target has no SSE4.1 `roundsd`, so `f64::round`
+/// lowers to a software routine; a truncating cast and one compare cost a
+/// fraction of that on the per-frame duration conversions.
+///
+/// # Examples
+///
+/// ```
+/// use dvs_sim::round_u64;
+/// assert_eq!(round_u64(2.5), 3);
+/// assert_eq!(round_u64(0.49999999999999994), 0);
+/// assert_eq!(round_u64(f64::INFINITY), u64::MAX);
+/// ```
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    // For x < 2^53 both `t as f64` and the difference are exact, so this is
+    // the true fractional part; larger finite x are already integers.
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,5 +426,40 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
+    }
+
+    #[test]
+    fn round_u64_matches_round_then_cast() {
+        let two52 = 2f64.powi(52);
+        let edges = [
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            two52 - 0.5,
+            two52 + 0.5,
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN.max(0.0),
+            f64::NAN,
+            -0.5,
+            -2.5,
+        ];
+        for x in edges {
+            assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        let mut rng = crate::SimRng::seed_from(0x80_0D);
+        for _ in 0..100_000 {
+            // Magnitudes from 2^-4 to 2^70, plus the exact half-way points.
+            let x = rng.next_f64() * 2f64.powi(rng.next_below(75) as i32 - 4);
+            let half = x.trunc() + 0.5;
+            for x in [x, half] {
+                assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+            }
+        }
     }
 }
