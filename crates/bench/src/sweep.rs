@@ -318,9 +318,10 @@ impl FittedScenario {
 /// sharing the result across cells, suite calls, and worker threads via
 /// `Arc`.
 ///
-/// Calibration dominates a suite's cost (the bisection measures each
-/// scenario dozens of times), and evaluation flows like the buffer-ablation
-/// ladder call the suite runner several times over the *same* scenarios —
+/// Calibration is a scenario's most expensive step (a search of about a
+/// dozen measurements, even though they reuse each other's segments), and
+/// evaluation flows like the buffer-ablation ladder call the suite runner
+/// several times over the *same* scenarios —
 /// without a shared cache every call recalibrates and every cell
 /// regenerates. Slots are write-once ([`OnceLock`]) and keyed by
 /// `(spec_index, seed)`: lookups allocate nothing, racing workers converge
@@ -628,8 +629,9 @@ pub fn run_suite_cached(
         );
     }
 
-    // Pass 1: one calibration cell per scenario (the bisection dominates a
-    // suite's cost, so it parallelises first and independently).
+    // Pass 1: one calibration cell per scenario (a scenario's search costs
+    // more than any one of its cells, so it parallelises first and
+    // independently).
     let fitted = calibrate_pass(&engine, specs, baseline_buffers, cache);
 
     // Pass 2: the measurement grid over the calibrated specs.

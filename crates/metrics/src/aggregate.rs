@@ -322,15 +322,10 @@ impl RunAggregate {
         agg
     }
 
-    /// Frame drops per second of display time — same formula as
-    /// [`RunReport::fdps`].
+    /// Frame drops per second of display time — the formula of
+    /// [`RunReport::fdps`], see [`fdps`](crate::fdps).
     pub fn fdps(&self) -> f64 {
-        let secs = self.display_time.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.janks as f64 / secs
-        }
+        crate::fdps(self.janks, self.display_time)
     }
 
     /// Janks as a fraction of active refreshes — same formula as

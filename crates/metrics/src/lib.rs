@@ -35,8 +35,8 @@ pub use fps::{average_fps, fps_series, min_window_fps};
 pub use power::{EnergyBreakdown, InstructionModel, PowerModel, FPE_DTV_EXEC_PER_FRAME};
 pub use quarantine::{PartialAccounting, QuarantineEntry, QuarantineReport};
 pub use record::{
-    FaultClass, FaultRecord, FrameDistribution, FrameKind, FrameRecord, JankEvent, ModeTransition,
-    PacerMode, RunReport,
+    fdps, FaultClass, FaultRecord, FrameDistribution, FrameKind, FrameRecord, JankEvent,
+    ModeTransition, PacerMode, RunReport,
 };
 pub use sketch::{
     FleetSketch, MetricSketch, SketchStats, ENERGY_GRID_BINS, ENERGY_GRID_HI_MJ, FDPS_GRID_BINS,

@@ -3,6 +3,19 @@
 use dvs_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Frame drops per second: `janks` over `display_time` in seconds, 0 when
+/// nothing was displayed. The one FDPS formula behind [`RunReport::fdps`]
+/// and [`RunAggregate::fdps`](crate::RunAggregate::fdps); a segmented run's
+/// FDPS is this formula over its summed per-segment counts, bit for bit.
+pub fn fdps(janks: usize, display_time: SimDuration) -> f64 {
+    let secs = display_time.as_secs_f64();
+    if secs == 0.0 {
+        0.0
+    } else {
+        janks as f64 / secs
+    }
+}
+
 /// How a produced frame reached the screen (Figure 6's taxonomy).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FrameKind {
@@ -257,14 +270,10 @@ impl RunReport {
         self.mode_transitions.iter().filter(|t| t.mode == PacerMode::Decoupled).count()
     }
 
-    /// Frame drops per second of display time (the headline FDPS metric).
+    /// Frame drops per second of display time (the headline FDPS metric);
+    /// see [`fdps`].
     pub fn fdps(&self) -> f64 {
-        let secs = self.display_time.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.janks.len() as f64 / secs
-        }
+        fdps(self.janks.len(), self.display_time)
     }
 
     /// Janks as a fraction of active refreshes (Figure 5's FD%).

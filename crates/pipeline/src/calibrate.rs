@@ -7,13 +7,28 @@
 //! bisection against the simulator itself. Crucially only the *baseline* is
 //! fitted; every D-VSync number in the repro harness is then a measured
 //! outcome of running the same calibrated trace under the decoupled pacer.
+//!
+//! A search measures the scenario about a dozen times, and neighbouring
+//! rates mostly generate the same frames: two rates draw the same random
+//! numbers up to the first key-frame trial whose draw lies between their
+//! two probabilities. Each call therefore keeps a private memo of its
+//! measurements — per animation segment, the highest trial draw that fired
+//! and the lowest that missed, plus the segment's jank count and display
+//! time. A new rate reuses the longest run of leading segments some earlier
+//! measurement decided the same way, and skips trace generation entirely
+//! when that run is the whole trace. Every segment runs from fresh
+//! pipeline state and FDPS is an integer jank sum over an integer display
+//! sum, so the reused counts reproduce the full run's FDPS bit for bit.
 
-use dvs_metrics::RunReport;
-use dvs_workload::ScenarioSpec;
+use std::ops::Range;
 
-use crate::core::{RunArena, SimCore};
-use crate::pacer::{FramePacer, VsyncPacer};
-use crate::runner::run_segments_into;
+use dvs_sim::SimDuration;
+use dvs_workload::{FrameTrace, ScenarioSpec, TraceGenerator};
+
+use crate::config::PipelineConfig;
+use crate::core::RunArena;
+use crate::pacer::VsyncPacer;
+use crate::simulator::Simulator;
 
 /// The result of calibrating one scenario.
 #[derive(Clone, Debug)]
@@ -22,7 +37,8 @@ pub struct CalibrationOutcome {
     pub spec: ScenarioSpec,
     /// The baseline FDPS the fitted spec actually measures.
     pub measured_fdps: f64,
-    /// Bisection iterations used.
+    /// Search steps used: the bracket's doublings plus the bisection steps
+    /// (0 for a zero target).
     pub iterations: usize,
 }
 
@@ -50,35 +66,36 @@ pub fn calibrate_spec(spec: &ScenarioSpec, buffers: usize) -> CalibrationOutcome
 
 /// [`calibrate_spec`] through a caller-provided [`RunArena`].
 ///
-/// Calibration is the allocation hot spot of a suite run — bracketing plus
-/// bisection measures the scenario dozens of times, and each measurement is
-/// a full segmented VSync run. Routing every measurement through one arena
-/// (and its pooled scratch report) makes the whole search allocation-free
-/// after the first measurement. The fitted result is bit-identical to
-/// [`calibrate_spec`]: the search sequence is deterministic and each pooled
-/// measurement reproduces the fresh-run report exactly.
+/// Each measurement is a segmented VSync run (as
+/// [`run_segmented_vsync`](crate::run_segmented_vsync) performs it) whose
+/// segments execute through `arena` and its scratch report. Segments and
+/// whole traces that an earlier measurement of the same call already
+/// decided are reused instead of re-simulated (see the module docs); the
+/// memo lives only for this call. The fitted rate, the measured FDPS and
+/// `iterations` are bit-identical to measuring every rate in full, and to
+/// [`calibrate_spec`]: the search sequence is deterministic and the arena
+/// is scratch.
 pub fn calibrate_spec_pooled(
     spec: &ScenarioSpec,
     buffers: usize,
     arena: &mut RunArena,
 ) -> CalibrationOutcome {
     let target = spec.paper_baseline_fdps;
+    let mut memo = Memo::new(spec, buffers);
     if target <= 0.0 {
-        let mut fitted = spec.clone();
-        fitted.cost.long_rate_per_sec = 0.0;
-        let measured = measure_pooled(&fitted, buffers, arena);
-        return CalibrationOutcome { spec: fitted, measured_fdps: measured, iterations: 0 };
+        let measured = memo.measure(0.0, arena);
+        return CalibrationOutcome { spec: memo.spec, measured_fdps: measured, iterations: 0 };
     }
 
     // Bracket the target: grow `hi` until the measured FDPS exceeds it.
     let mut lo = 0.0f64;
     let mut hi = (target * 0.8).max(0.25);
     let mut iterations = 0usize;
-    let mut f_hi = measure_with_rate(spec, buffers, hi, arena);
+    let mut f_hi = memo.measure(hi, arena);
     while f_hi < target && hi < spec.rate_hz as f64 {
         lo = hi;
         hi *= 2.0;
-        f_hi = measure_with_rate(spec, buffers, hi, arena);
+        f_hi = memo.measure(hi, arena);
         iterations += 1;
         if iterations > 16 {
             break;
@@ -91,7 +108,7 @@ pub fn calibrate_spec_pooled(
     for _ in 0..18 {
         iterations += 1;
         let mid = 0.5 * (lo + hi);
-        let f = measure_with_rate(spec, buffers, mid, arena);
+        let f = memo.measure(mid, arena);
         if (f - target).abs() < (best_fdps - target).abs() {
             best_rate = mid;
             best_fdps = f;
@@ -106,33 +123,133 @@ pub fn calibrate_spec_pooled(
         }
     }
 
-    let mut fitted = spec.clone();
+    let mut fitted = memo.spec;
     fitted.cost.long_rate_per_sec = best_rate;
     CalibrationOutcome { spec: fitted, measured_fdps: best_fdps, iterations }
 }
 
-fn measure_with_rate(spec: &ScenarioSpec, buffers: usize, rate: f64, arena: &mut RunArena) -> f64 {
-    let mut candidate = spec.clone();
-    candidate.cost.long_rate_per_sec = rate;
-    measure_pooled(&candidate, buffers, arena)
+/// One animation segment of a memoized measurement.
+#[derive(Clone, Copy)]
+struct SegmentOutcome {
+    /// Highest key-frame trial draw in this segment that fired.
+    fired: f64,
+    /// Lowest key-frame trial draw in this segment that missed.
+    missed: f64,
+    janks: usize,
+    display_time: SimDuration,
 }
 
-/// One segmented VSync measurement through the arena's scratch report.
-fn measure_pooled(spec: &ScenarioSpec, buffers: usize, arena: &mut RunArena) -> f64 {
-    let segments = spec.generate_segments();
-    arena.with_scratch_report(|arena, out: &mut RunReport| {
-        run_segments_into(
-            &spec.name,
-            spec.rate_hz,
-            &segments,
-            buffers,
-            SimCore::default(),
-            || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>,
-            arena,
-            out,
-        );
-        out.fdps()
-    })
+impl SegmentOutcome {
+    const UNTRIED: SegmentOutcome = SegmentOutcome {
+        fired: f64::NEG_INFINITY,
+        missed: f64::INFINITY,
+        janks: 0,
+        display_time: SimDuration::ZERO,
+    };
+
+    /// Whether key-frame probability `p` decides every trial of this
+    /// segment as the memoized rate did. When it does so for every segment
+    /// up to this one, it generates the same frames through this one.
+    fn admits(&self, p: f64) -> bool {
+        self.fired < p && p <= self.missed
+    }
+}
+
+/// The measurements of one calibration call.
+struct Memo {
+    /// The scenario, at the rate measured last.
+    spec: ScenarioSpec,
+    cfg: PipelineConfig,
+    segments: Vec<Range<usize>>,
+    /// FDPS of each memoized (positive-rate) measurement.
+    fdps: Vec<f64>,
+    /// `segments.len()` outcomes per memoized measurement, in order.
+    outcomes: Vec<SegmentOutcome>,
+    /// Pooled full trace and the one segment being simulated.
+    trace: FrameTrace,
+    segment: FrameTrace,
+}
+
+impl Memo {
+    fn new(spec: &ScenarioSpec, buffers: usize) -> Self {
+        Memo {
+            spec: spec.clone(),
+            cfg: PipelineConfig::new(spec.rate_hz, buffers),
+            segments: spec.segment_ranges(spec.frames),
+            fdps: Vec::new(),
+            outcomes: Vec::new(),
+            trace: FrameTrace::new(String::new(), spec.rate_hz),
+            segment: FrameTrace::new(String::new(), spec.rate_hz),
+        }
+    }
+
+    /// The segmented VSync FDPS of the scenario at key-frame `rate`.
+    fn measure(&mut self, rate: f64, arena: &mut RunArena) -> f64 {
+        self.spec.cost.long_rate_per_sec = rate;
+        let n = self.segments.len();
+        // A zero rate makes no trials, so it neither reuses nor is reused.
+        let trials = rate > 0.0;
+        let p = self.spec.cost.key_frame_probability(self.spec.period());
+
+        // The memoized run that decides the most leading segments like `p`
+        // (tied runs hold the same frames over those segments).
+        let memoized = if trials { self.fdps.len() } else { 0 };
+        let source = (0..memoized)
+            .map(|run| {
+                let outcomes = &self.outcomes[run * n..(run + 1) * n];
+                (run, outcomes.iter().take_while(|o| o.admits(p)).count())
+            })
+            .max_by_key(|&(_, admitted)| admitted);
+        if let Some((run, admitted)) = source {
+            if admitted == n {
+                return self.fdps[run];
+            }
+        }
+
+        let base = self.outcomes.len();
+        self.outcomes.resize(base + n, SegmentOutcome::UNTRIED);
+        let seg_len = self.spec.segment_frames.max(1);
+        let fresh = &mut self.outcomes[base..];
+        TraceGenerator::new(&self.spec).generate_observed(&mut self.trace, |frame, u, fired| {
+            let o = &mut fresh[frame / seg_len];
+            if fired {
+                o.fired = o.fired.max(u);
+            } else {
+                o.missed = o.missed.min(u);
+            }
+        });
+
+        let (run, admitted) = source.unwrap_or((0, 0));
+        let sim = Simulator::new(&self.cfg);
+        let (mut janks, mut display_time) = (0usize, SimDuration::ZERO);
+        for k in 0..n {
+            let (seg_janks, seg_display) = if k < admitted {
+                let o = self.outcomes[run * n + k];
+                (o.janks, o.display_time)
+            } else {
+                self.segment.frames.clear();
+                self.segment.frames.extend_from_slice(&self.trace.frames[self.segments[k].clone()]);
+                let segment = &self.segment;
+                arena.with_scratch_report(|arena, out| {
+                    sim.run_into(segment, &mut VsyncPacer::new(), arena, out);
+                    (out.janks.len(), out.display_time)
+                })
+            };
+            let o = &mut self.outcomes[base + k];
+            o.janks = seg_janks;
+            o.display_time = seg_display;
+            janks += seg_janks;
+            display_time += seg_display;
+        }
+
+        let measured = dvs_metrics::fdps(janks, display_time);
+        if trials {
+            self.fdps.push(measured);
+        } else {
+            self.outcomes.truncate(base);
+        }
+        measured
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +309,22 @@ mod tests {
         assert_eq!(fresh.spec.cost.long_rate_per_sec, pooled.spec.cost.long_rate_per_sec);
         assert_eq!(fresh.measured_fdps, pooled.measured_fdps);
         assert_eq!(fresh.iterations, pooled.iterations);
+    }
+
+    #[test]
+    fn memo_measures_like_full_runs_and_keeps_zero_rates_apart() {
+        // A zero rate makes no key-frame trials: its untried segments would
+        // admit any probability, so it must never be reused, nor reuse.
+        let spec = ScenarioSpec::new("mix", 60, 600, CostProfile::scattered(2.0));
+        let mut memo = Memo::new(&spec, 3);
+        let mut arena = RunArena::new();
+        for rate in [0.0, 2.0, 0.0, 2.0 + 1e-12, 1e-9, 0.0, 3.0] {
+            let full = measure(&spec.clone().with_cost(spec.cost.with_long_rate(rate)), 3);
+            assert_eq!(memo.measure(rate, &mut arena).to_bits(), full.to_bits(), "rate {rate}");
+        }
+        // 2.0 + 1e-12 decides every trial like 2.0, so it was not memoized
+        // again; 1e-9 and 3.0 were.
+        assert_eq!(memo.fdps.len(), 3);
     }
 
     #[test]

@@ -229,8 +229,8 @@ impl RunArena {
     /// Lends out the arena's scratch [`RunReport`] slot alongside the arena
     /// itself, so a caller can run into a pooled report, derive scalars from
     /// it, and hand the allocation back — all without a fresh report per
-    /// call. Used by calibration (dozens of measurement runs per scenario)
-    /// and by aggregate-mode sweep cells.
+    /// call. Used by calibration (one run per segment a measurement
+    /// re-simulates) and by aggregate-mode sweep cells.
     pub fn with_scratch_report<R>(
         &mut self,
         f: impl FnOnce(&mut RunArena, &mut RunReport) -> R,

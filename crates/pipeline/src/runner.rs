@@ -99,7 +99,7 @@ pub fn run_segments_into<F>(
     let cfg = PipelineConfig::new(rate_hz, buffers);
     let sim = Simulator::new(&cfg).with_core(core);
     // The per-segment report slot lives in the arena so repeated segmented
-    // runs (calibration measures dozens per scenario) reuse its vectors.
+    // runs (every cell of a sweep grid) reuse its vectors.
     let mut seg_out = std::mem::take(&mut arena.segment);
     for segment in segments {
         let mut pacer = make_pacer();

@@ -138,7 +138,14 @@ impl DeviceRun {
         let _ = write!(trace.name, "fleet/{}/{}", self.mix, self.index);
         trace.rate_hz = self.rate_hz;
         trace.backend = Backend::Gles;
-        fill_costs(&self.cost, trace.period(), self.frames, self.trace_seed, &mut trace.frames);
+        fill_costs(
+            &self.cost,
+            trace.period(),
+            self.frames,
+            self.trace_seed,
+            &mut trace.frames,
+            |_, _, _| {},
+        );
     }
 
     /// The seed key for this device's fault plan, unique per

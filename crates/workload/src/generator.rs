@@ -105,6 +105,14 @@ impl CostProfile {
         self
     }
 
+    /// Probability that an independent key frame fires on any one frame
+    /// at refresh `period` (one frame is produced per period in steady
+    /// state), capped at 0.9. A frame outside a burst fires when its trial
+    /// draw `u` satisfies `u < key_frame_probability(period)`.
+    pub fn key_frame_probability(&self, period: SimDuration) -> f64 {
+        (self.long_rate_per_sec * period.as_millis_f64() / 1e3).min(0.9)
+    }
+
     /// Validates parameter ranges.
     ///
     /// # Panics
@@ -306,23 +314,44 @@ impl<'a> TraceGenerator<'a> {
     /// and frames while reusing its allocations — the pooled form of
     /// [`TraceGenerator::generate`], which delegates here.
     pub fn generate_into(&self, trace: &mut FrameTrace) {
+        self.generate_observed(trace, |_, _, _| {});
+    }
+
+    /// [`TraceGenerator::generate_into`], reporting every key-frame trial
+    /// to `on_trial(frame, u, fired)`: the frame index, the trial's uniform
+    /// draw `u`, and whether it fired (`u` below
+    /// [`CostProfile::key_frame_probability`]). Frames inside a burst and
+    /// every frame at rate 0 make no trial.
+    ///
+    /// Two rates of one spec consume the same random numbers up to the
+    /// first trial whose outcome differs, so their traces agree up to that
+    /// frame. Calibration uses the reported draws to tell which prefix of
+    /// an earlier trace a new rate would reproduce.
+    pub fn generate_observed(
+        &self,
+        trace: &mut FrameTrace,
+        on_trial: impl FnMut(usize, f64, bool),
+    ) {
         let spec = self.spec;
         trace.name.clone_from(&spec.name);
         trace.rate_hz = spec.rate_hz;
         trace.backend = spec.backend;
-        fill_costs(&spec.cost, spec.period(), spec.frames, spec.seed, &mut trace.frames);
+        fill_costs(&spec.cost, spec.period(), spec.frames, spec.seed, &mut trace.frames, on_trial);
     }
 }
 
 /// Draws `frames` frame costs of the `cost` process at refresh `period`
-/// from the stream seeded by `seed`, replacing `out`'s contents. The cost
-/// profile must already be validated.
+/// from the stream seeded by `seed`, replacing `out`'s contents and
+/// reporting each key-frame trial to `on_trial` (see
+/// [`TraceGenerator::generate_observed`]). The cost profile must already be
+/// validated.
 pub(crate) fn fill_costs(
     c: &CostProfile,
     period: SimDuration,
     frames: usize,
     seed: u64,
     out: &mut Vec<FrameCost>,
+    mut on_trial: impl FnMut(usize, f64, bool),
 ) {
     let period_ms = period.as_millis_f64();
     let mut rng = SimRng::seed_from(seed);
@@ -330,15 +359,24 @@ pub(crate) fn fill_costs(
     let short = LogNormal::from_median(c.short_median_frac * period_ms, c.short_sigma);
     let long = Pareto::new(c.long_min_periods * period_ms, c.long_alpha)
         .truncated(c.long_max_periods * period_ms);
-    // Probability that an independent key frame fires on any given frame:
-    // one frame is produced per period in steady state.
-    let p_long = (c.long_rate_per_sec * period_ms / 1e3).min(0.9);
+    let p_long = c.key_frame_probability(period);
 
     out.clear();
     out.reserve(frames);
     let mut in_burst = false;
-    for _ in 0..frames {
-        let is_long = if in_burst { true } else { c.long_rate_per_sec > 0.0 && rng.chance(p_long) };
+    for frame in 0..frames {
+        let is_long = if in_burst {
+            true
+        } else if c.long_rate_per_sec > 0.0 {
+            // `rng.chance(p_long)` spelled out (p_long already lies in
+            // [0, 0.9]) so the trial can report its draw.
+            let u = rng.next_f64();
+            let fired = u < p_long;
+            on_trial(frame, u, fired);
+            fired
+        } else {
+            false
+        };
         let (ui_ms, rs_ms) = if is_long {
             in_burst = rng.chance(c.cluster_p);
             let total = long.sample(&mut rng);
@@ -388,6 +426,83 @@ mod tests {
             TraceGenerator::new(s).generate_into(&mut pooled);
             assert_eq!(pooled, s.generate());
         }
+    }
+
+    #[test]
+    fn trial_draws_bound_the_prefix_two_rates_share() {
+        let mut rng = SimRng::seed_from(0x7121);
+        let (mut shared, mut diverged) = (0usize, 0usize);
+        for case in 0..300 {
+            let mut cost = if rng.chance(0.5) {
+                CostProfile::scattered(1.0)
+            } else {
+                CostProfile::clustered(1.0)
+            };
+            cost.short_median_frac = rng.next_range(0.3, 0.7);
+            cost.cluster_p = rng.next_range(0.0, 0.6);
+            let rate_hz = [30, 60, 90, 120][rng.next_below(4) as usize];
+            let frames = 20 + rng.next_below(400) as usize;
+            let seg = 1 + rng.next_below(150) as usize;
+            let rate_a = rng.next_range(0.05, 30.0);
+            // Often a near neighbour, as bisection steps are.
+            let rate_b = if rng.chance(0.5) {
+                rate_a * rng.next_range(0.9, 1.1)
+            } else {
+                rng.next_range(0.05, 30.0)
+            };
+            let a = ScenarioSpec::new(format!("trial {case}"), rate_hz, frames, cost)
+                .with_segment_frames(seg)
+                .with_cost(cost.with_long_rate(rate_a));
+            let b = a.clone().with_cost(cost.with_long_rate(rate_b));
+
+            let mut silent = FrameTrace::new("", rate_hz);
+            TraceGenerator::new(&a).generate_observed(&mut silent, |_, _, _| {});
+            assert_eq!(silent, a.generate(), "a no-op hook must not change the trace");
+
+            let ranges = a.segment_ranges(frames);
+            let p_a = a.cost.key_frame_probability(a.period());
+            let mut bounds = vec![(f64::NEG_INFINITY, f64::INFINITY); ranges.len()];
+            let mut observed = FrameTrace::new("", rate_hz);
+            TraceGenerator::new(&a).generate_observed(&mut observed, |frame, u, fired| {
+                assert_eq!(fired, u < p_a, "a trial fires exactly when u < p");
+                let (hi_fired, lo_missed) = &mut bounds[frame / seg];
+                if fired {
+                    *hi_fired = hi_fired.max(u);
+                } else {
+                    *lo_missed = lo_missed.min(u);
+                }
+            });
+            assert_eq!(observed, silent);
+
+            let p_b = b.cost.key_frame_probability(b.period());
+            let trace_b = b.generate();
+            let (mut fired, mut missed) = (f64::NEG_INFINITY, f64::INFINITY);
+            for (k, range) in ranges.iter().enumerate() {
+                fired = fired.max(bounds[k].0);
+                missed = missed.min(bounds[k].1);
+                if !(fired < p_b && p_b <= missed) {
+                    diverged += 1;
+                    break;
+                }
+                assert_eq!(
+                    observed.frames[..range.end],
+                    trace_b.frames[..range.end],
+                    "case {case}: segment {k} admits rate {rate_b}, so frames must agree"
+                );
+                shared += 1;
+            }
+        }
+        assert!(shared > 100 && diverged > 100, "sweep too one-sided: {shared} / {diverged}");
+    }
+
+    #[test]
+    fn zero_rate_makes_no_trials() {
+        let s = spec(60, 2000, CostProfile::scattered(0.0));
+        let mut trials = 0usize;
+        let mut trace = FrameTrace::new("", 60);
+        TraceGenerator::new(&s).generate_observed(&mut trace, |_, _, _| trials += 1);
+        assert_eq!(trials, 0);
+        assert_eq!(trace, s.generate());
     }
 
     #[test]

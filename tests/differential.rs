@@ -16,6 +16,10 @@
 //! Because the engines also read faults through different views (ordered-map
 //! probes vs compiled dense tables), equality here cross-checks the fault
 //! compilation too.
+//!
+//! The same wall holds baseline calibration, which reuses segment results
+//! across the rates of one search, bit-identical to a search that measures
+//! every rate with a full segmented run.
 
 use proptest::prelude::*;
 
@@ -23,9 +27,12 @@ use dvs_bench::suite75;
 use dvs_bench::sweep::SweepEngine;
 use dvs_core::{DvsyncConfig, DvsyncPacer, WatchdogConfig};
 use dvs_faults::{FaultEvent, FaultPlan, StochasticFault, StochasticKind};
-use dvs_pipeline::{FramePacer, PipelineConfig, SimCore, Simulator, VsyncPacer};
-use dvs_sim::SimDuration;
-use dvs_workload::{FrameCost, FrameTrace};
+use dvs_pipeline::{
+    calibrate_spec_pooled, run_segmented_vsync, FramePacer, PipelineConfig, RunArena, SimCore,
+    Simulator, VsyncPacer,
+};
+use dvs_sim::{stable_seed, SimDuration};
+use dvs_workload::{scenarios, CostProfile, FrameCost, FrameTrace, ScenarioSpec};
 
 /// Runs one trace on the given engine and serializes the full report.
 fn report_json(
@@ -221,6 +228,110 @@ fn segmented_report_capacity_is_stable_across_warm_runs() {
         (out.records.capacity(), out.janks.capacity(), out.mode_transitions.capacity()),
         "warm reruns must be reallocation-free"
     );
+}
+
+/// The calibration search measuring every rate in full: the same bracket
+/// and bisection as `calibrate_spec_pooled`, each rate a fresh segmented
+/// VSync run. Returns the fitted rate, its FDPS, and the step count.
+fn calibration_oracle(spec: &ScenarioSpec, buffers: usize) -> (f64, f64, usize) {
+    let measure = |rate: f64| {
+        let mut candidate = spec.clone();
+        candidate.cost.long_rate_per_sec = rate;
+        run_segmented_vsync(&candidate, buffers).fdps()
+    };
+    let target = spec.paper_baseline_fdps;
+    if target <= 0.0 {
+        return (0.0, measure(0.0), 0);
+    }
+    let mut lo = 0.0f64;
+    let mut hi = (target * 0.8).max(0.25);
+    let mut iterations = 0usize;
+    let mut f_hi = measure(hi);
+    while f_hi < target && hi < spec.rate_hz as f64 {
+        lo = hi;
+        hi *= 2.0;
+        f_hi = measure(hi);
+        iterations += 1;
+        if iterations > 16 {
+            break;
+        }
+    }
+    let (mut best_rate, mut best_fdps) = (hi, f_hi);
+    for _ in 0..18 {
+        iterations += 1;
+        let mid = 0.5 * (lo + hi);
+        let f = measure(mid);
+        if (f - target).abs() < (best_fdps - target).abs() {
+            (best_rate, best_fdps) = (mid, f);
+        }
+        if (f - target).abs() / target < 0.03 {
+            break;
+        }
+        if f < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (best_rate, best_fdps, iterations)
+}
+
+#[test]
+fn memoized_calibration_matches_measuring_every_rate() {
+    let mut specs = [
+        scenarios::mate60_vulkan_suite(),
+        scenarios::mate60_gles_suite(),
+        scenarios::mate40_gles_suite(),
+    ]
+    .concat();
+    specs.push(scenarios::figure1_spec(1200).with_paper_fdps(4.0));
+    specs.extend([
+        // A remainder segment, and a segment longer than the trace.
+        ScenarioSpec::new("odd remainder", 60, 250, CostProfile::scattered(2.0))
+            .with_segment_frames(60)
+            .with_paper_fdps(2.0),
+        ScenarioSpec::new("odd long segment", 60, 200, CostProfile::scattered(2.0))
+            .with_segment_frames(500)
+            .with_paper_fdps(1.5),
+        ScenarioSpec::new("odd 60hz", 60, 600, CostProfile::scattered(3.0)).with_paper_fdps(3.0),
+        ScenarioSpec::new("odd 90hz", 90, 450, CostProfile::scattered(2.0)).with_paper_fdps(3.0),
+        ScenarioSpec::new("odd clustered", 120, 600, CostProfile::clustered(3.0))
+            .with_paper_fdps(8.0),
+        ScenarioSpec::new("odd zero target", 60, 300, CostProfile::scattered(5.0)),
+        // Unreachable: the bracket stops at the refresh-rate cap, where
+        // every rate's key-frame probability saturates.
+        ScenarioSpec::new("odd rate cap", 60, 300, CostProfile::scattered(1.0))
+            .with_paper_fdps(55.0),
+    ]);
+    // The long-trace suites (1000-frame apps, 20 s games) rotate instead,
+    // one seed and buffer count per spec, to keep the debug run short.
+    let long = [scenarios::android_app_suite(), scenarios::game_suite()].concat();
+
+    // One warm arena across every call, as a sweep worker holds it.
+    let mut arena = RunArena::new();
+    let mut check = |base: &ScenarioSpec, seed: usize, buffers: usize| {
+        let mut spec = base.clone();
+        spec.seed = stable_seed(&format!("calibration-differential/{seed}/{}", spec.name));
+        let (rate, fdps, iterations) = calibration_oracle(&spec, buffers);
+        let out = calibrate_spec_pooled(&spec, buffers, &mut arena);
+        let at = format!("{} (seed {seed}, {buffers} buffers)", spec.name);
+        assert_eq!(
+            out.spec.cost.long_rate_per_sec.to_bits(),
+            rate.to_bits(),
+            "fitted rate on {at}"
+        );
+        assert_eq!(out.measured_fdps.to_bits(), fdps.to_bits(), "FDPS on {at}");
+        assert_eq!(out.iterations, iterations, "iterations on {at}");
+    };
+    // Three seeds per spec, alternating 3 and 4 buffers between seeds.
+    for seed in 0..3 {
+        for (i, spec) in specs.iter().enumerate() {
+            check(spec, seed, 3 + (i + seed) % 2);
+        }
+    }
+    for (j, spec) in long.iter().enumerate() {
+        check(spec, j % 3, 3 + j % 2);
+    }
 }
 
 /// Decodes a proptest-generated `(kind, a, b)` triple into a fault event.
