@@ -9,7 +9,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use dvs_bench::simcore::bench_traces;
-use dvs_pipeline::{PipelineConfig, SimCore, Simulator, VsyncPacer};
+use dvs_metrics::RunReport;
+use dvs_pipeline::{PipelineConfig, RunArena, SimCore, Simulator, VsyncPacer};
 
 fn bench_simcore(c: &mut Criterion) {
     // The quick slice (every fifth suite75 case) keeps one criterion
@@ -19,34 +20,30 @@ fn bench_simcore(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simcore");
     group.throughput(Throughput::Elements(frames));
-    group.bench_function("event_heap_suite75_slice", |b| {
-        b.iter(|| {
-            let mut events = 0u64;
-            for trace in &traces {
-                let cfg = PipelineConfig::new(trace.rate_hz, 3);
-                let (_, stats) = Simulator::new(&cfg)
-                    .with_core(SimCore::EventHeap)
-                    .try_run_instrumented(black_box(trace), &mut VsyncPacer::new())
-                    .expect("bench traces are valid");
-                events += stats.events_processed;
-            }
-            events
+    for (name, core) in [
+        ("event_heap_suite75_slice", SimCore::EventHeap),
+        ("reference_suite75_slice", SimCore::Reference),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut events = 0u64;
+                for trace in &traces {
+                    let cfg = PipelineConfig::new(trace.rate_hz, 3);
+                    let stats = Simulator::new(&cfg)
+                        .with_core(core)
+                        .try_run_into(
+                            black_box(trace),
+                            &mut VsyncPacer::new(),
+                            &mut RunArena::new(),
+                            &mut RunReport::default(),
+                        )
+                        .expect("bench traces are valid");
+                    events += stats.events_processed;
+                }
+                events
+            });
         });
-    });
-    group.bench_function("reference_suite75_slice", |b| {
-        b.iter(|| {
-            let mut events = 0u64;
-            for trace in &traces {
-                let cfg = PipelineConfig::new(trace.rate_hz, 3);
-                let (_, stats) = Simulator::new(&cfg)
-                    .with_core(SimCore::Reference)
-                    .try_run_instrumented(black_box(trace), &mut VsyncPacer::new())
-                    .expect("bench traces are valid");
-                events += stats.events_processed;
-            }
-            events
-        });
-    });
+    }
     group.finish();
 }
 

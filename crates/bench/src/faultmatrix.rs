@@ -153,16 +153,11 @@ fn run_cell(
             &mut dvsync
         }
     };
-    let sim = Simulator::new(&cfg);
+    let sim = Simulator::new(&cfg).with_faults(Some(plan));
     match mode {
-        SweepMode::FullRecords => {
-            let report = sim
-                .run_faulted(trace, pacer, plan)
-                .expect("matrix traces are non-empty and rate-matched");
-            summarize(cell, scenario, profile, &report)
-        }
+        SweepMode::FullRecords => summarize(cell, scenario, profile, &sim.run(trace, pacer)),
         SweepMode::Aggregate => arena.with_scratch_report(|arena, out| {
-            sim.try_run_faulted_into(trace, pacer, plan, arena, out)
+            sim.try_run_into(trace, pacer, arena, out)
                 .expect("matrix traces are non-empty and rate-matched");
             let agg = RunAggregate::from_report(out);
             summarize_aggregate(cell, scenario, profile, &agg)
@@ -436,9 +431,7 @@ pub fn run_degraded_case() -> GoldenDegradedMode {
     let cfg = PipelineConfig::new(60, 5);
     let mut pacer =
         DvsyncPacer::new(DvsyncConfig::with_buffers(5)).with_watchdog(WatchdogConfig::default());
-    let report = Simulator::new(&cfg)
-        .run_faulted(&trace, &mut pacer, &plan)
-        .expect("reference trace is valid");
+    let report = Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut pacer);
     GoldenDegradedMode {
         frames: report.records.len(),
         janks: report.janks.len(),

@@ -210,19 +210,11 @@ fn load_device_trace(
 /// its sketch. Pure in `(spec, shard, shards)`: any worker, any attempt,
 /// any resume produces the same bytes — which is what lets shards be
 /// resilient-executor cells.
+///
+/// With a `trace_dir` of per-device binary recordings
+/// ([`fleet_trace_path`]), devices decode their recorded traces instead of
+/// regenerating them; the bytes are the same either way.
 pub fn run_fleet_shard(
-    spec: &FleetSpec,
-    shard: usize,
-    shards: usize,
-    engine: FleetEngine,
-    arena: &mut RunArena,
-) -> FleetSketch {
-    run_fleet_shard_with(spec, shard, shards, engine, arena, None)
-}
-
-/// [`run_fleet_shard`] with an optional directory of per-device binary
-/// trace recordings ([`fleet_trace_path`]).
-pub fn run_fleet_shard_with(
     spec: &FleetSpec,
     shard: usize,
     shards: usize,
@@ -243,12 +235,10 @@ pub fn run_fleet_shard_with(
                 let plan = fleet_plan(spec, &dev);
                 let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
                 arena.with_scratch_report(|arena, out| {
-                    let sim = Simulator::new(&cfg);
-                    match &plan {
-                        Some(p) => sim.try_run_faulted_into(&trace, &mut pacer, p, arena, out),
-                        None => sim.try_run_into(&trace, &mut pacer, arena, out),
-                    }
-                    .expect("generated fleet traces always validate");
+                    Simulator::new(&cfg)
+                        .with_faults(plan.as_ref())
+                        .try_run_into(&trace, &mut pacer, arena, out)
+                        .expect("generated fleet traces always validate");
                     observe_device(&mut sketch, out);
                 });
             }
@@ -362,7 +352,7 @@ pub fn run_fleet_resilient_with(
     let fingerprint = fleet_fingerprint(spec, n, engine, cfg);
     let (start_slots, resumed) = restore_progress(cfg, fingerprint, n)?;
     let work =
-        |arena: &mut RunArena, i: usize| run_fleet_shard_with(spec, i, n, engine, arena, trace_dir);
+        |arena: &mut RunArena, i: usize| run_fleet_shard(spec, i, n, engine, arena, trace_dir);
     let (slots, checkpoint_writes) =
         execute_cells(n, jobs.max(1), &keys, fingerprint, cfg, start_slots, resumed, &work)?;
 

@@ -48,7 +48,7 @@ pub mod tracetool;
 pub use checkpoint::{CellSlot, Checkpoint, QuarantinedSlot, CHECKPOINT_VERSION};
 pub use fleet::{
     fleet_fingerprint, fleet_trace_path, run_fleet_resilient, run_fleet_resilient_with,
-    run_fleet_shard, run_fleet_shard_with, FleetEngine, FleetReport, ResilientFleet, BATCH_WIDTH,
+    run_fleet_shard, FleetEngine, FleetReport, ResilientFleet, BATCH_WIDTH,
 };
 pub use fleetbench::{FleetBench, FleetThroughput, DEVICES_PER_MIN_FLOOR, FRAMES_PER_DEVICE};
 pub use resilient::{

@@ -17,10 +17,9 @@
 //!   ([`RetryPolicy`]), no wall-clock anywhere (lint-clean under the
 //!   determinism rules). Every attempt starts from a fresh arena and the
 //!   same seeds, so a retry computes exactly what the first attempt would
-//!   have. Cells that exhaust the budget land in a
-//!   [`QuarantineReport`](dvs_metrics::QuarantineReport) and the sweep
-//!   completes with explicit [`PartialAccounting`](dvs_metrics::PartialAccounting)
-//!   rather than aborting.
+//!   have. Cells that exhaust the budget land in a [`QuarantineReport`]
+//!   and the sweep completes with explicit [`PartialAccounting`] rather
+//!   than aborting.
 //! * **Checkpoint/resume** — completed cells are persisted at a configurable
 //!   cadence ([`CheckpointConfig`]); a killed run resumed with the same grid
 //!   produces a final [`SweepReport`] **byte-identical** to an uninterrupted
@@ -502,8 +501,7 @@ pub(crate) fn restore_progress(
 /// Quarantined cells contribute zeroed metrics to their suite row (the row
 /// is still present, keeping the report's shape stable) and are listed in
 /// the report's quarantine section — consumers must treat those row entries
-/// as excluded, which [`PartialAccounting`](dvs_metrics::PartialAccounting)
-/// makes explicit.
+/// as excluded, which [`PartialAccounting`] makes explicit.
 ///
 /// # Errors
 ///

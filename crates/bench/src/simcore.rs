@@ -14,7 +14,8 @@
 
 use std::time::Instant;
 
-use dvs_pipeline::{PipelineConfig, SimCore, Simulator, VsyncPacer};
+use dvs_metrics::RunReport;
+use dvs_pipeline::{PipelineConfig, RunArena, SimCore, Simulator, VsyncPacer};
 use dvs_workload::FrameTrace;
 use serde::{Deserialize, Serialize};
 
@@ -76,9 +77,16 @@ pub fn measure_core(traces: &[FrameTrace], core: SimCore, reps: usize) -> CoreTh
     for _ in 0..reps {
         for trace in traces {
             let cfg = PipelineConfig::new(trace.rate_hz, 3);
-            let (_, stats) = Simulator::new(&cfg)
+            // A fresh arena and report per run: the timed work includes
+            // each run's buffer set-up, not only the warm event loop.
+            let stats = Simulator::new(&cfg)
                 .with_core(core)
-                .try_run_instrumented(trace, &mut VsyncPacer::new())
+                .try_run_into(
+                    trace,
+                    &mut VsyncPacer::new(),
+                    &mut RunArena::new(),
+                    &mut RunReport::default(),
+                )
                 .expect("benchmark traces are valid");
             events += stats.events_processed;
             polls += stats.polls;

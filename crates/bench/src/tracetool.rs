@@ -11,7 +11,7 @@
 //!
 //! Ingestion is the reverse direction: a real device's frame-time log (CSV
 //! or JSON-lines) is analysed with [`dvs_workload::try_analyze`], converted
-//! into a calibrated [`CostProfile`] via
+//! into a calibrated [`CostProfile`](dvs_workload::CostProfile) via
 //! [`TraceProfile::to_cost_profile`], and emitted as a ScenarioSpec family
 //! plus the regenerated binary trace — so external measurements become
 //! replayable scenarios.

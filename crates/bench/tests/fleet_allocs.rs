@@ -81,7 +81,7 @@ fn batched_shard_allocates_at_most_eight_times_per_device() {
     let spec = FleetSpec::default_population("allocs", devices, 60);
     let mut arena = RunArena::new();
     let before = thread_allocs();
-    let sketch = run_fleet_shard(&spec, 0, 1, FleetEngine::Batched, &mut arena);
+    let sketch = run_fleet_shard(&spec, 0, 1, FleetEngine::Batched, &mut arena, None);
     let allocs = thread_allocs() - before;
     assert_eq!(sketch.devices, devices, "every device was measured");
     let per_device = allocs as f64 / devices as f64;

@@ -19,11 +19,11 @@
 //!   changes the report, and both execution engines (`SimCore::EventHeap`
 //!   and the polling reference) produce identical bytes.
 //!
-//! The result is a [`CompositeReport`](dvs_metrics::CompositeReport): one
-//! full [`RunReport`](dvs_metrics::RunReport) per surface plus the
-//! composition parameters and per-surface deferred-latch counts. Solo
-//! baselines for the interference matrix come from [`Compositor::solo_reports`],
-//! which re-runs each surface alone through the same machinery.
+//! The result is a [`CompositeReport`]: one full [`RunReport`] per surface
+//! plus the composition parameters and per-surface deferred-latch counts.
+//! Solo baselines for the interference matrix come from
+//! [`Compositor::solo_reports`], which re-runs each surface alone through
+//! the same machinery.
 //!
 //! # Examples
 //!

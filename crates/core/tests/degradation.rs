@@ -36,7 +36,7 @@ fn run_watched(trace: &FrameTrace, plan: &FaultPlan) -> RunReport {
     let cfg = PipelineConfig::new(60, 5);
     let mut pacer =
         DvsyncPacer::new(DvsyncConfig::with_buffers(5)).with_watchdog(WatchdogConfig::default());
-    Simulator::new(&cfg).run_faulted(trace, &mut pacer, plan).expect("valid trace")
+    Simulator::new(&cfg).with_faults(Some(plan)).run(trace, &mut pacer)
 }
 
 #[test]
@@ -103,8 +103,8 @@ fn watchdog_is_opt_in() {
     let trace = light_trace(240);
     let cfg = PipelineConfig::new(60, 5);
     let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(5));
-    let report =
-        Simulator::new(&cfg).run_faulted(&trace, &mut pacer, &overload_burst_plan()).unwrap();
+    let plan = overload_burst_plan();
+    let report = Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut pacer);
     assert!(report.mode_transitions.is_empty());
     assert_eq!(pacer.mode(), PacerMode::Decoupled);
 }

@@ -27,7 +27,7 @@ use crate::parse::{CallSite, ParsedFile};
 /// One function in the flattened workspace index.
 #[derive(Clone, Debug)]
 pub struct GFn {
-    /// Index of the owning file (position in the slice passed to [`build`]).
+    /// Index of the owning file (position in the slice passed to [`Graph::build`]).
     pub file: usize,
     /// Index into that file's `ParsedFile::fns`.
     pub item: usize,

@@ -67,14 +67,14 @@ pub fn calibrate_spec(spec: &ScenarioSpec, buffers: usize) -> CalibrationOutcome
 /// [`calibrate_spec`] through a caller-provided [`RunArena`].
 ///
 /// Each measurement is a segmented VSync run (as
-/// [`run_segmented_vsync`](crate::run_segmented_vsync) performs it) whose
-/// segments execute through `arena` and its scratch report. Segments and
-/// whole traces that an earlier measurement of the same call already
-/// decided are reused instead of re-simulated (see the module docs); the
-/// memo lives only for this call. The fitted rate, the measured FDPS and
-/// `iterations` are bit-identical to measuring every rate in full, and to
-/// [`calibrate_spec`]: the search sequence is deterministic and the arena
-/// is scratch.
+/// [`run_segmented`](crate::run_segmented) performs it with a
+/// [`VsyncPacer`]) whose segments execute through `arena` and its scratch
+/// report. Segments and whole traces that an earlier measurement of the
+/// same call already decided are reused instead of re-simulated (see the
+/// module docs); the memo lives only for this call. The fitted rate, the
+/// measured FDPS and `iterations` are bit-identical to measuring every rate
+/// in full, and to [`calibrate_spec`]: the search sequence is deterministic
+/// and the arena is scratch.
 pub fn calibrate_spec_pooled(
     spec: &ScenarioSpec,
     buffers: usize,
@@ -254,7 +254,7 @@ impl Memo {
 
 #[cfg(test)]
 fn measure(spec: &ScenarioSpec, buffers: usize) -> f64 {
-    crate::runner::run_segmented_vsync(spec, buffers).fdps()
+    crate::runner::run_segmented(spec, buffers, || Box::new(VsyncPacer::new())).fdps()
 }
 
 #[cfg(test)]

@@ -7,21 +7,6 @@
 //! [`crate::core`]'s `compose` module; this module is the validation /
 //! fault-materialization entry point, mirroring [`crate::Simulator`] for
 //! the single-pipeline path.
-//!
-//! Two replay guarantees hold by construction and are pinned by the
-//! repo-level test walls:
-//!
-//! * an M=1 run with the same schedule at the surface and panel levels is
-//!   **byte-identical** to the single-pipeline [`crate::Simulator`] run
-//!   (`tests/compositor_differential.rs`);
-//! * M>1 runs replay byte-identically from the same inputs on both
-//!   execution engines, regardless of sweep parallelism
-//!   (`tests/proptest_compositor.rs`).
-//!
-//! Callers pass surfaces in **canonical order** — the order fixes the event
-//! insertion sequence and the order of `outs`. The `dvs-compositor` crate
-//! sorts surfaces by name before calling in, which is what makes its
-//! reports independent of registration order.
 
 use dvs_faults::{FaultPlan, FaultSchedule, Horizon};
 use dvs_metrics::RunReport;
@@ -64,7 +49,22 @@ pub struct CompositeStats {
     pub deferred_latches: Vec<u64>,
 }
 
-/// Drives M surfaces into one shared panel. See the [module docs](self).
+/// Drives M surfaces into one shared panel.
+///
+/// Two replay guarantees hold by construction and are pinned by the
+/// repo-level test walls:
+///
+/// * an M=1 run with the same schedule at the surface and panel levels is
+///   **byte-identical** to the single-pipeline [`crate::Simulator`] run
+///   (`tests/compositor_differential.rs`);
+/// * M>1 runs replay byte-identically from the same inputs on both
+///   execution engines, regardless of sweep parallelism
+///   (`tests/proptest_compositor.rs`).
+///
+/// Callers pass surfaces in **canonical order** — the order fixes the event
+/// insertion sequence and the order of `outs`. The `dvs-compositor` crate
+/// sorts surfaces by name before calling in, which is what makes its
+/// reports independent of registration order.
 ///
 /// # Examples
 ///
@@ -118,11 +118,6 @@ impl<'c> CompositeSim<'c> {
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.compose_budget = Some(budget);
         self
-    }
-
-    /// The engine this runner dispatches to.
-    pub fn core(&self) -> SimCore {
-        self.core
     }
 
     /// Runs the composite to completion, allocating fresh reports.

@@ -42,7 +42,7 @@ pub struct BatchLane<P: FramePacer> {
     /// The lane's frame trace for this batch.
     pub trace: FrameTrace,
     /// Optional fault plan, resolved over the lane's own horizon exactly
-    /// like [`crate::Simulator::try_run_faulted_into`].
+    /// like a plan attached with [`crate::Simulator::with_faults`].
     pub plan: Option<FaultPlan>,
     /// The lane's pacer. Fresh per run (pacing state must not leak across
     /// devices); stored by value so a reload needs no boxed pacer.
@@ -130,13 +130,10 @@ mod tests {
             .collect();
         run_batch(&cfg, &mut lanes).expect("batch runs");
 
-        let sim = Simulator::new(&cfg);
         for lane in &lanes {
-            let mut pacer = VsyncPacer::new();
-            let solo = match &lane.plan {
-                Some(plan) => sim.run_faulted(&lane.trace, &mut pacer, plan).expect("solo"),
-                None => sim.try_run(&lane.trace, &mut pacer).expect("solo"),
-            };
+            let solo = Simulator::new(&cfg)
+                .with_faults(lane.plan.as_ref())
+                .run(&lane.trace, &mut VsyncPacer::new());
             assert_eq!(json(&lane.out), json(&solo), "lane {} diverged", lane.trace.name);
         }
     }

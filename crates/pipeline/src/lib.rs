@@ -47,7 +47,5 @@ pub use config::PipelineConfig;
 pub use core::batch::{run_batch, BatchLane};
 pub use core::{CompositeArena, CoreStats, RunArena, SimCore};
 pub use pacer::{FramePacer, FramePlan, PacerCtx, VsyncPacer};
-pub use runner::{
-    run_segmented, run_segmented_core, run_segmented_pooled, run_segmented_vsync, run_segments_into,
-};
+pub use runner::{run_segmented, run_segments_into};
 pub use simulator::Simulator;

@@ -8,22 +8,23 @@
 //! VSync pipeline that janked once would keep its deepened queue forever and
 //! absorb later key frames for free, which real interactive sessions do not.
 //!
-//! Every entry point funnels into [`run_segments_into`], the pooled core:
-//! it runs pre-generated segments through a [`RunArena`] into a
-//! caller-provided report. The convenience wrappers allocate a transient
-//! arena; sweep grids and calibration hold one arena per worker thread and
-//! run hundreds of scenarios through it allocation-free.
+//! Two entry points: [`run_segments_into`] is the pooled core — it runs
+//! pre-generated segments through a [`RunArena`] into a caller-provided
+//! report — and [`run_segmented`] is its convenience wrapper, generating the
+//! spec's segments into a transient arena and fresh report. Sweep grids and
+//! calibration hold one arena per worker thread and run hundreds of
+//! scenarios through it allocation-free.
 
 use dvs_metrics::RunReport;
 use dvs_workload::{FrameTrace, ScenarioSpec};
 
 use crate::config::PipelineConfig;
 use crate::core::{RunArena, SimCore};
-use crate::pacer::{FramePacer, VsyncPacer};
+use crate::pacer::FramePacer;
 use crate::simulator::Simulator;
 
 /// Runs every animation segment of `spec` through a fresh pipeline and
-/// pacer, merging the reports.
+/// pacer on the default engine, merging the reports.
 ///
 /// # Panics
 ///
@@ -32,41 +33,19 @@ pub fn run_segmented<F>(spec: &ScenarioSpec, buffers: usize, make_pacer: F) -> R
 where
     F: FnMut() -> Box<dyn FramePacer>,
 {
-    run_segmented_core(spec, buffers, SimCore::default(), make_pacer)
-}
-
-/// [`run_segmented`] on an explicit execution engine — the seam the
-/// differential suite and the benchmark harness drive both cores through.
-pub fn run_segmented_core<F>(
-    spec: &ScenarioSpec,
-    buffers: usize,
-    core: SimCore,
-    make_pacer: F,
-) -> RunReport
-where
-    F: FnMut() -> Box<dyn FramePacer>,
-{
-    let mut arena = RunArena::new();
-    let mut out = RunReport::default();
-    run_segmented_pooled(spec, buffers, core, make_pacer, &mut arena, &mut out);
-    out
-}
-
-/// Pooled [`run_segmented_core`]: generates the spec's segments, then runs
-/// them through the caller's arena into `out` (fully reset first). The
-/// result is byte-identical to the fresh-allocation wrappers.
-pub fn run_segmented_pooled<F>(
-    spec: &ScenarioSpec,
-    buffers: usize,
-    core: SimCore,
-    make_pacer: F,
-    arena: &mut RunArena,
-    out: &mut RunReport,
-) where
-    F: FnMut() -> Box<dyn FramePacer>,
-{
     let segments = spec.generate_segments();
-    run_segments_into(&spec.name, spec.rate_hz, &segments, buffers, core, make_pacer, arena, out);
+    let mut out = RunReport::default();
+    run_segments_into(
+        &spec.name,
+        spec.rate_hz,
+        &segments,
+        buffers,
+        SimCore::default(),
+        make_pacer,
+        &mut RunArena::new(),
+        &mut out,
+    );
+    out
 }
 
 /// The pooled core of segmented execution: runs pre-generated `segments`
@@ -109,20 +88,20 @@ pub fn run_segments_into<F>(
     arena.segment = seg_out;
 }
 
-/// Convenience: the segmented VSync baseline.
-pub fn run_segmented_vsync(spec: &ScenarioSpec, buffers: usize) -> RunReport {
-    run_segmented(spec, buffers, || Box::new(VsyncPacer::new()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pacer::VsyncPacer;
     use dvs_workload::CostProfile;
+
+    fn vsync_run(spec: &ScenarioSpec, buffers: usize) -> RunReport {
+        run_segmented(spec, buffers, || Box::new(VsyncPacer::new()))
+    }
 
     #[test]
     fn segments_cover_all_frames() {
         let spec = ScenarioSpec::new("seg", 60, 500, CostProfile::smooth()).with_segment_frames(60);
-        let report = run_segmented_vsync(&spec, 3);
+        let report = vsync_run(&spec, 3);
         assert_eq!(report.records.len(), 500);
         assert_eq!(report.janks.len(), 0);
     }
@@ -134,10 +113,10 @@ mod tests {
         let spec = ScenarioSpec::new("depth", 60, 600, CostProfile::scattered(2.0))
             .with_paper_fdps(2.0)
             .with_segment_frames(60);
-        let segmented = run_segmented_vsync(&spec, 4);
+        let segmented = vsync_run(&spec, 4);
         let continuous = {
             let one = spec.clone().with_segment_frames(600);
-            run_segmented_vsync(&one, 4)
+            vsync_run(&one, 4)
         };
         // The continuous run hides later key frames in its deepened queue.
         assert!(
@@ -154,7 +133,7 @@ mod tests {
         let segs = spec.generate_segments();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[2].len(), 10);
-        let report = run_segmented_vsync(&spec, 3);
+        let report = vsync_run(&spec, 3);
         assert_eq!(report.records.len(), 130);
     }
 
@@ -163,11 +142,13 @@ mod tests {
         let spec = ScenarioSpec::new("pool", 60, 400, CostProfile::scattered(2.0))
             .with_paper_fdps(1.5)
             .with_segment_frames(60);
-        let fresh = run_segmented_vsync(&spec, 3);
+        let fresh = vsync_run(&spec, 3);
         let mut arena = RunArena::new();
         let mut out = RunReport::default();
+        let segments = spec.generate_segments();
+        let (name, rate, core) = (&spec.name, spec.rate_hz, SimCore::default());
         let mk = || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>;
-        run_segmented_pooled(&spec, 3, SimCore::default(), mk, &mut arena, &mut out);
+        run_segments_into(name, rate, &segments, 3, core, mk, &mut arena, &mut out);
         assert_eq!(
             serde_json::to_string(&fresh).unwrap(),
             serde_json::to_string(&out).unwrap(),
@@ -178,7 +159,7 @@ mod tests {
         // on the first pass).
         let cap_records = out.records.capacity();
         let cap_janks = out.janks.capacity();
-        run_segmented_pooled(&spec, 3, SimCore::default(), mk, &mut arena, &mut out);
+        run_segments_into(name, rate, &segments, 3, core, mk, &mut arena, &mut out);
         assert_eq!(serde_json::to_string(&fresh).unwrap(), serde_json::to_string(&out).unwrap());
         assert_eq!(out.records.capacity(), cap_records, "records capacity must be stable");
         assert_eq!(out.janks.capacity(), cap_janks, "janks capacity must be stable");

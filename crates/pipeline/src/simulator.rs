@@ -1,8 +1,12 @@
 //! The discrete-event rendering-pipeline simulator.
 //!
 //! The pipeline semantics live in [`crate::core`]; this module is the public
-//! entry point that validates inputs and hands the run, with its fault plan,
-//! to the selected execution engine ([`SimCore`]).
+//! entry point. A [`Simulator`] is configured by builders — the execution
+//! engine ([`Simulator::with_core`]) and an optional injected fault plan
+//! ([`Simulator::with_faults`]) — and then runs through one fallible pooled
+//! call, [`Simulator::try_run_into`], which validates the trace and hands it
+//! to the selected engine. [`Simulator::run`] is the one convenience
+//! wrapper: a fresh arena and report, panicking on invalid input.
 
 use dvs_faults::{FaultPlan, FaultSchedule};
 use dvs_metrics::RunReport;
@@ -24,12 +28,14 @@ use crate::pacer::FramePacer;
 pub struct Simulator<'c> {
     cfg: &'c PipelineConfig,
     core: SimCore,
+    plan: Option<&'c FaultPlan>,
 }
 
 impl<'c> Simulator<'c> {
-    /// Creates a simulator over the given configuration (event-heap engine).
+    /// Creates a simulator over the given configuration (event-heap engine,
+    /// no injected faults).
     pub fn new(cfg: &'c PipelineConfig) -> Self {
-        Simulator { cfg, core: SimCore::default() }
+        Simulator { cfg, core: SimCore::default(), plan: None }
     }
 
     /// Selects which execution engine runs the event loop.
@@ -38,60 +44,70 @@ impl<'c> Simulator<'c> {
         self
     }
 
-    /// The engine this simulator dispatches runs to.
-    pub fn core(&self) -> SimCore {
-        self.core
+    /// Injects `plan` into every run of this simulator (`None` runs clean).
+    ///
+    /// The plan resolves over each run's exact horizon (trace length × tick
+    /// cap), so the fault stream is a pure function of `(plan, config,
+    /// trace)` — identical inputs replay byte-identically, including every
+    /// degradation transition. The event-heap engine draws per-tick faults
+    /// as the run reaches them; the reference engine materializes the whole
+    /// schedule up front; both see the same faults.
+    pub fn with_faults(mut self, plan: Option<&'c FaultPlan>) -> Self {
+        self.plan = plan;
+        self
     }
 
-    /// Runs the trace to completion (or the safety tick cap) and reports.
+    /// Runs the trace to completion (or the safety tick cap) into a fresh
+    /// report.
     ///
     /// # Panics
     ///
     /// Panics if the trace is empty or its rate disagrees with the config.
-    /// Fallible callers should use [`Simulator::try_run`].
+    /// Fallible callers use [`Simulator::try_run_into`].
     pub fn run(&self, trace: &FrameTrace, pacer: &mut dyn FramePacer) -> RunReport {
-        match self.try_run(trace, pacer) {
-            Ok(report) => report,
-            // dvs-lint: allow(panic, reason = "documented panicking wrapper; fallible callers use try_run")
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible run: rejects empty traces and rate mismatches with a typed
-    /// error instead of panicking.
-    pub fn try_run(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-    ) -> Result<RunReport, DvsError> {
-        self.try_run_instrumented(trace, pacer).map(|(report, _)| report)
-    }
-
-    /// [`Simulator::try_run`] plus the engine's dispatch counters
-    /// (events/sec numerators for the benchmark harness).
-    pub fn try_run_instrumented(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-    ) -> Result<(RunReport, CoreStats), DvsError> {
-        let mut arena = RunArena::new();
         let mut out = RunReport::default();
-        let stats = self.try_run_into(trace, pacer, &mut arena, &mut out)?;
-        Ok((out, stats))
+        self.run_into(trace, pacer, &mut RunArena::new(), &mut out);
+        out
     }
 
-    /// Pooled variant of [`Simulator::run`]: runs into a caller-provided
-    /// [`RunArena`] and output report, reusing their allocations.
+    /// Runs the trace into a caller-provided [`RunArena`] and output report,
+    /// reusing their allocations, and returns the engine's dispatch
+    /// counters (the events/sec numerators of the benchmark harness).
     ///
-    /// The output is byte-identical to [`Simulator::run`] — `out` is fully
-    /// reset before the first event fires — but a warm arena makes the whole
-    /// run allocation-free, which is what sweep grids batch-running hundreds
-    /// of cells per worker thread want.
+    /// Empty traces and rate mismatches are rejected with a typed error
+    /// before anything runs. The output is byte-identical to
+    /// [`Simulator::run`] — `out` is fully reset before the first event
+    /// fires — but a warm arena makes the whole run allocation-free, which
+    /// is what sweep grids batch-running hundreds of cells per worker thread
+    /// want.
+    pub fn try_run_into(
+        &self,
+        trace: &FrameTrace,
+        pacer: &mut dyn FramePacer,
+        arena: &mut RunArena,
+        out: &mut RunReport,
+    ) -> Result<CoreStats, DvsError> {
+        self.validate(trace)?;
+        Ok(match self.core {
+            SimCore::EventHeap => {
+                core::event_heap::execute(self.cfg, trace, pacer, self.plan, arena, out)
+            }
+            SimCore::Reference => {
+                let schedule = self.plan.map_or_else(FaultSchedule::default, |p| {
+                    p.materialize(&self.cfg.fault_horizon(trace.len()))
+                });
+                core::reference::execute(self.cfg, trace, pacer, schedule, arena, out)
+            }
+        })
+    }
+
+    /// [`Simulator::try_run_into`] for crate callers whose traces are valid
+    /// by construction or whose public contract is to panic.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Simulator::run`].
-    pub fn run_into(
+    pub(crate) fn run_into(
         &self,
         trace: &FrameTrace,
         pacer: &mut dyn FramePacer,
@@ -101,83 +117,6 @@ impl<'c> Simulator<'c> {
         if let Err(e) = self.try_run_into(trace, pacer, arena, out) {
             // dvs-lint: allow(panic, reason = "documented panicking wrapper; fallible callers use try_run_into")
             panic!("{e}");
-        }
-    }
-
-    /// Fallible pooled run; see [`Simulator::run_into`].
-    pub fn try_run_into(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        arena: &mut RunArena,
-        out: &mut RunReport,
-    ) -> Result<CoreStats, DvsError> {
-        self.validate(trace)?;
-        Ok(self.dispatch(trace, pacer, None, arena, out))
-    }
-
-    /// Pooled variant of [`Simulator::run_faulted`]: resolves the plan over
-    /// this run's horizon, then runs into the caller's arena and report.
-    pub fn try_run_faulted_into(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: &FaultPlan,
-        arena: &mut RunArena,
-        out: &mut RunReport,
-    ) -> Result<CoreStats, DvsError> {
-        self.validate(trace)?;
-        Ok(self.dispatch(trace, pacer, Some(plan), arena, out))
-    }
-
-    /// Runs the trace under an injected [`FaultPlan`].
-    ///
-    /// The plan resolves over this run's exact horizon (trace length × tick
-    /// cap), so the fault stream is a pure function of `(plan, config,
-    /// trace)` — identical inputs replay byte-identically, including every
-    /// degradation transition. The event-heap engine draws per-tick faults
-    /// as the run reaches them; the reference engine materializes the whole
-    /// schedule up front; both see the same faults.
-    pub fn run_faulted(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: &FaultPlan,
-    ) -> Result<RunReport, DvsError> {
-        self.run_faulted_instrumented(trace, pacer, plan).map(|(report, _)| report)
-    }
-
-    /// [`Simulator::run_faulted`] plus the engine's dispatch counters.
-    pub fn run_faulted_instrumented(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: &FaultPlan,
-    ) -> Result<(RunReport, CoreStats), DvsError> {
-        let mut arena = RunArena::new();
-        let mut out = RunReport::default();
-        let stats = self.try_run_faulted_into(trace, pacer, plan, &mut arena, &mut out)?;
-        Ok((out, stats))
-    }
-
-    fn dispatch(
-        &self,
-        trace: &FrameTrace,
-        pacer: &mut dyn FramePacer,
-        plan: Option<&FaultPlan>,
-        arena: &mut RunArena,
-        out: &mut RunReport,
-    ) -> CoreStats {
-        match self.core {
-            SimCore::EventHeap => {
-                core::event_heap::execute(self.cfg, trace, pacer, plan, arena, out)
-            }
-            SimCore::Reference => {
-                let schedule = plan.map_or_else(FaultSchedule::default, |p| {
-                    p.materialize(&self.cfg.fault_horizon(trace.len()))
-                });
-                core::reference::execute(self.cfg, trace, pacer, schedule, arena, out)
-            }
         }
     }
 
@@ -467,15 +406,14 @@ mod tests {
     fn try_run_returns_typed_errors() {
         let cfg = PipelineConfig::new(60, 3);
         let sim = Simulator::new(&cfg);
-        let empty = FrameTrace::new("empty", 60);
+        let try_run = |trace: &FrameTrace| {
+            let mut out = RunReport::default();
+            sim.try_run_into(trace, &mut VsyncPacer::new(), &mut RunArena::new(), &mut out)
+        };
+        assert_eq!(try_run(&FrameTrace::new("empty", 60)).unwrap_err(), DvsError::EmptyTrace);
         assert_eq!(
-            sim.try_run(&empty, &mut VsyncPacer::new()).unwrap_err(),
-            dvs_sim::DvsError::EmptyTrace
-        );
-        let wrong = trace_of(120, &[(1.0, 2.0)]);
-        assert_eq!(
-            sim.try_run(&wrong, &mut VsyncPacer::new()).unwrap_err(),
-            dvs_sim::DvsError::RateMismatch { trace_hz: 120, config_hz: 60 }
+            try_run(&trace_of(120, &[(1.0, 2.0)])).unwrap_err(),
+            DvsError::RateMismatch { trace_hz: 120, config_hz: 60 }
         );
     }
 
@@ -483,11 +421,10 @@ mod tests {
     fn clean_fault_plan_matches_plain_run() {
         let trace = trace_of(60, &[(2.0, 5.0); 60]);
         let cfg = PipelineConfig::new(60, 3);
-        let sim = Simulator::new(&cfg);
-        let plain = sim.run(&trace, &mut VsyncPacer::new());
-        let faulted = sim
-            .run_faulted(&trace, &mut VsyncPacer::new(), &dvs_faults::FaultPlan::new("k"))
-            .unwrap();
+        let plain = Simulator::new(&cfg).run(&trace, &mut VsyncPacer::new());
+        let clean = FaultPlan::new("k");
+        let faulted =
+            Simulator::new(&cfg).with_faults(Some(&clean)).run(&trace, &mut VsyncPacer::new());
         assert_eq!(plain.records, faulted.records);
         assert_eq!(plain.janks, faulted.janks);
         assert!(faulted.fault_events.is_empty());
@@ -497,10 +434,10 @@ mod tests {
     fn missed_vsync_janks_and_is_logged() {
         let trace = trace_of(60, &[(2.0, 5.0); 40]);
         let cfg = PipelineConfig::new(60, 3);
-        let sim = Simulator::new(&cfg);
-        let plan = dvs_faults::FaultPlan::new("miss")
-            .with_event(dvs_faults::FaultEvent::MissVsync { tick: 10 });
-        let report = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let plan =
+            FaultPlan::new("miss").with_event(dvs_faults::FaultEvent::MissVsync { tick: 10 });
+        let report =
+            Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut VsyncPacer::new());
         assert!(report.janks.iter().any(|j| j.tick == 10), "swallowed pulse shows as a jank");
         assert!(report
             .fault_events
@@ -514,13 +451,12 @@ mod tests {
     fn rs_stall_injection_janks_like_a_long_frame() {
         let trace = trace_of(60, &[(2.0, 5.0); 40]);
         let cfg = PipelineConfig::new(60, 3);
-        let sim = Simulator::new(&cfg);
-        let plan =
-            dvs_faults::FaultPlan::new("stall").with_event(dvs_faults::FaultEvent::StallRs {
-                frame: 20,
-                extra: SimDuration::from_millis(19),
-            });
-        let report = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let plan = FaultPlan::new("stall").with_event(dvs_faults::FaultEvent::StallRs {
+            frame: 20,
+            extra: SimDuration::from_millis(19),
+        });
+        let report =
+            Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut VsyncPacer::new());
         // 5 + 19 = 24 ms render > one period: same signature as the organic
         // long-frame test above.
         assert_eq!(report.janks.len(), 1);
@@ -531,12 +467,12 @@ mod tests {
     fn alloc_denial_delays_but_conserves_frames() {
         let trace = trace_of(60, &[(2.0, 5.0); 40]);
         let cfg = PipelineConfig::new(60, 3);
-        let sim = Simulator::new(&cfg);
-        let mut plan = dvs_faults::FaultPlan::new("deny");
+        let mut plan = FaultPlan::new("deny");
         for tick in 8..12 {
             plan = plan.with_event(dvs_faults::FaultEvent::DenyAlloc { tick });
         }
-        let report = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let report =
+            Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut VsyncPacer::new());
         assert!(!report.truncated, "denial must not wedge the run");
         assert_eq!(report.records.len(), 40, "every frame still presents");
         assert!(report.fault_events.iter().any(|f| f.class == FaultClass::AllocDenied));
@@ -547,10 +483,10 @@ mod tests {
         let spec = ScenarioSpec::new("replay", 60, 200, CostProfile::scattered(3.0));
         let trace = spec.generate();
         let cfg = PipelineConfig::new(60, 4);
-        let sim = Simulator::new(&cfg);
         let plan = dvs_faults::named_profile("mixed", "replay-seed").unwrap();
-        let a = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
-        let b = sim.run_faulted(&trace, &mut VsyncPacer::new(), &plan).unwrap();
+        let sim = Simulator::new(&cfg).with_faults(Some(&plan));
+        let a = sim.run(&trace, &mut VsyncPacer::new());
+        let b = sim.run(&trace, &mut VsyncPacer::new());
         let ja = serde_json::to_string(&a).unwrap();
         let jb = serde_json::to_string(&b).unwrap();
         assert_eq!(ja, jb, "identical plan + seed must replay byte-identically");
@@ -597,10 +533,13 @@ mod tests {
 
     #[test]
     fn pooled_run_into_matches_fresh_runs_across_arena_reuse() {
-        // One arena reused across different traces and both engines must
-        // reproduce every fresh-run report byte for byte.
+        // One arena reused across different traces, both engines, and
+        // alternating faulted and clean runs must reproduce every fresh-run
+        // report byte for byte: a fault table one run leaves in the arena
+        // never reaches the next clean run.
         let cfg = PipelineConfig::new(60, 3);
-        let mut arena = crate::core::RunArena::new();
+        let mixed = dvs_faults::named_profile("mixed", "pool-seed").unwrap();
+        let mut arena = RunArena::new();
         let mut out = RunReport::default();
         let traces = [
             trace_of(60, &[(2.0, 5.0); 80]),
@@ -608,16 +547,25 @@ mod tests {
             ScenarioSpec::new("pool", 60, 200, CostProfile::scattered(3.0)).generate(),
         ];
         for core in [SimCore::EventHeap, SimCore::Reference] {
-            let sim = Simulator::new(&cfg).with_core(core);
             for trace in &traces {
-                let fresh = sim.run(trace, &mut VsyncPacer::new());
-                sim.run_into(trace, &mut VsyncPacer::new(), &mut arena, &mut out);
-                assert_eq!(
-                    serde_json::to_string(&fresh).unwrap(),
-                    serde_json::to_string(&out).unwrap(),
-                    "pooled run diverged from fresh run ({core:?}, {})",
-                    trace.name
-                );
+                for plan in [Some(&mixed), None] {
+                    let sim = Simulator::new(&cfg).with_core(core).with_faults(plan);
+                    let fresh = sim.run(trace, &mut VsyncPacer::new());
+                    sim.try_run_into(trace, &mut VsyncPacer::new(), &mut arena, &mut out).unwrap();
+                    assert_eq!(
+                        plan.is_some(),
+                        !out.fault_events.is_empty(),
+                        "the profile fires on every trace ({core:?}, {})",
+                        trace.name
+                    );
+                    assert_eq!(
+                        serde_json::to_string(&fresh).unwrap(),
+                        serde_json::to_string(&out).unwrap(),
+                        "pooled run diverged from fresh run ({core:?}, {}, faulted: {})",
+                        trace.name,
+                        plan.is_some()
+                    );
+                }
             }
         }
     }
@@ -626,12 +574,14 @@ mod tests {
     fn instrumented_run_reports_engine_counters() {
         let trace = trace_of(60, &[(2.0, 5.0); 50]);
         let cfg = PipelineConfig::new(60, 3);
-        let (_, heap_stats) =
-            Simulator::new(&cfg).try_run_instrumented(&trace, &mut VsyncPacer::new()).unwrap();
-        let (_, ref_stats) = Simulator::new(&cfg)
-            .with_core(SimCore::Reference)
-            .try_run_instrumented(&trace, &mut VsyncPacer::new())
-            .unwrap();
+        let stats = |core| {
+            let mut out = RunReport::default();
+            Simulator::new(&cfg)
+                .with_core(core)
+                .try_run_into(&trace, &mut VsyncPacer::new(), &mut RunArena::new(), &mut out)
+                .unwrap()
+        };
+        let (heap_stats, ref_stats) = (stats(SimCore::EventHeap), stats(SimCore::Reference));
         assert_eq!(heap_stats.polls, 0, "the heap never polls");
         assert_eq!(heap_stats.events_processed, ref_stats.events_processed);
         assert_eq!(heap_stats.events_scheduled, ref_stats.events_scheduled);

@@ -156,9 +156,7 @@ proptest! {
         let cfg = PipelineConfig::new(60, buffers);
         let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(buffers))
             .with_watchdog(WatchdogConfig::default());
-        let report = Simulator::new(&cfg)
-            .run_faulted(&trace, &mut pacer, &plan)
-            .expect("trace is non-empty and rate-matched");
+        let report = Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut pacer);
         if !report.truncated {
             prop_assert_eq!(report.records.len(), trace.len(), "frames lost or duplicated");
         }
@@ -188,9 +186,7 @@ proptest! {
             let cfg = PipelineConfig::new(60, 5);
             let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(5))
                 .with_watchdog(WatchdogConfig::default());
-            let report = Simulator::new(&cfg)
-                .run_faulted(&trace, &mut pacer, &plan)
-                .expect("valid trace");
+            let report = Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut pacer);
             serde_json::to_string(&report).expect("reports serialize")
         };
         prop_assert_eq!(run(), run(), "replay diverged");
@@ -246,7 +242,7 @@ fn fault_sweeps_are_jobs_invariant() {
             let cfg = PipelineConfig::new(60, 5);
             let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(5))
                 .with_watchdog(WatchdogConfig::default());
-            Simulator::new(&cfg).run_faulted(&trace, &mut pacer, &plan).expect("valid trace")
+            Simulator::new(&cfg).with_faults(Some(&plan)).run(&trace, &mut pacer)
         });
         serde_json::to_string(&reports).expect("reports serialize")
     };

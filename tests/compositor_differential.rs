@@ -33,11 +33,7 @@ fn single_json(
     plan: Option<&FaultPlan>,
 ) -> String {
     let cfg = PipelineConfig::new(trace.rate_hz, buffers);
-    let sim = Simulator::new(&cfg).with_core(core);
-    let report = match plan {
-        None => sim.run(trace, pacer),
-        Some(p) => sim.run_faulted(trace, pacer, p).expect("valid trace"),
-    };
+    let report = Simulator::new(&cfg).with_core(core).with_faults(plan).run(trace, pacer);
     serde_json::to_string(&report).expect("reports serialize")
 }
 

@@ -28,8 +28,8 @@ use dvs_bench::sweep::SweepEngine;
 use dvs_core::{DvsyncConfig, DvsyncPacer, WatchdogConfig};
 use dvs_faults::{FaultEvent, FaultPlan, StochasticFault, StochasticKind};
 use dvs_pipeline::{
-    calibrate_spec_pooled, run_segmented_vsync, FramePacer, PipelineConfig, RunArena, SimCore,
-    Simulator, VsyncPacer,
+    calibrate_spec_pooled, run_segmented, FramePacer, PipelineConfig, RunArena, SimCore, Simulator,
+    VsyncPacer,
 };
 use dvs_sim::{stable_seed, SimDuration};
 use dvs_workload::{scenarios, CostProfile, FrameCost, FrameTrace, ScenarioSpec};
@@ -43,11 +43,7 @@ fn report_json(
     plan: Option<&FaultPlan>,
 ) -> String {
     let cfg = PipelineConfig::new(trace.rate_hz, buffers);
-    let sim = Simulator::new(&cfg).with_core(core);
-    let report = match plan {
-        None => sim.run(trace, pacer),
-        Some(p) => sim.run_faulted(trace, pacer, p).expect("valid trace"),
-    };
+    let report = Simulator::new(&cfg).with_core(core).with_faults(plan).run(trace, pacer);
     serde_json::to_string(&report).expect("reports serialize")
 }
 
@@ -170,9 +166,9 @@ fn pooled_arena_runs_are_byte_identical_across_cores_and_reuse() {
         let mut pooled_json = Vec::new();
         for core in [SimCore::EventHeap, SimCore::Reference] {
             let cfg = PipelineConfig::new(trace.rate_hz, 4);
-            let sim = Simulator::new(&cfg).with_core(core);
+            let sim = Simulator::new(&cfg).with_core(core).with_faults(Some(&plan));
             let mut out = dvs_metrics::RunReport::default();
-            sim.try_run_faulted_into(&trace, &mut VsyncPacer::new(), &plan, &mut arena, &mut out)
+            sim.try_run_into(&trace, &mut VsyncPacer::new(), &mut arena, &mut out)
                 .expect("valid trace");
             pooled_json.push(serde_json::to_string(&out).expect("reports serialize"));
         }
@@ -237,7 +233,7 @@ fn calibration_oracle(spec: &ScenarioSpec, buffers: usize) -> (f64, f64, usize) 
     let measure = |rate: f64| {
         let mut candidate = spec.clone();
         candidate.cost.long_rate_per_sec = rate;
-        run_segmented_vsync(&candidate, buffers).fdps()
+        run_segmented(&candidate, buffers, || Box::new(VsyncPacer::new())).fdps()
     };
     let target = spec.paper_baseline_fdps;
     if target <= 0.0 {

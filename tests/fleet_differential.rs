@@ -49,15 +49,10 @@ fn lane_plan(k: usize, i: usize, faulted: bool) -> Option<FaultPlan> {
 fn solo_json(
     cfg: &PipelineConfig,
     trace: &FrameTrace,
-    plan: &Option<FaultPlan>,
+    plan: Option<&FaultPlan>,
     core: SimCore,
 ) -> String {
-    let sim = Simulator::new(cfg).with_core(core);
-    let mut pacer = pacer();
-    let report = match plan {
-        Some(p) => sim.run_faulted(trace, &mut pacer, p).expect("valid trace"),
-        None => sim.try_run(trace, &mut pacer).expect("valid trace"),
-    };
+    let report = Simulator::new(cfg).with_core(core).with_faults(plan).run(trace, &mut pacer());
     serde_json::to_string(&report).expect("reports serialize")
 }
 
@@ -71,7 +66,7 @@ fn assert_batch_matches_solo(k: usize, faulted: bool) {
     run_batch(&cfg, &mut lanes).expect("batch runs");
     for (i, lane) in lanes.iter().enumerate() {
         let batched = serde_json::to_string(&lane.out).expect("reports serialize");
-        let solo = solo_json(&cfg, &lane.trace, &lane.plan, SimCore::EventHeap);
+        let solo = solo_json(&cfg, &lane.trace, lane.plan.as_ref(), SimCore::EventHeap);
         assert_eq!(batched, solo, "K={k} faulted={faulted}: lane {i} diverged from solo run");
     }
 }
@@ -101,7 +96,7 @@ fn single_lane_batch_matches_both_cores() {
         run_batch(&cfg, &mut lanes).expect("batch runs");
         let batched = serde_json::to_string(&lanes[0].out).expect("reports serialize");
         for core in [SimCore::EventHeap, SimCore::Reference] {
-            let solo = solo_json(&cfg, &lanes[0].trace, &lanes[0].plan, core);
+            let solo = solo_json(&cfg, &lanes[0].trace, lanes[0].plan.as_ref(), core);
             assert_eq!(batched, solo, "faulted={faulted}: batch diverged from {core:?} core");
         }
     }
@@ -146,7 +141,7 @@ fn shard_sketches_merge_to_the_same_bytes_in_any_order() {
     let shards = 7;
     let mut arena = RunArena::new();
     let sketches: Vec<FleetSketch> = (0..shards)
-        .map(|s| run_fleet_shard(&spec, s, shards, FleetEngine::Batched, &mut arena))
+        .map(|s| run_fleet_shard(&spec, s, shards, FleetEngine::Batched, &mut arena, None))
         .collect();
 
     let merge = |order: &[usize]| {
