@@ -1,15 +1,19 @@
 //! Process-wide allocation counters for benchmark instrumentation.
 //!
-//! The sweep benchmark reports how many heap bytes each arm allocates, so
-//! the pooled/streaming path can be *gated* on allocating less than the
-//! classic path — not just running faster. This module holds the counters
+//! The fleet benchmark (`repro fleet --bench`) reports how many heap bytes
+//! and allocation calls each arm makes. This module holds the counters
 //! and their safe accessors; the `unsafe` [`std::alloc::GlobalAlloc`]
 //! wrapper that feeds them lives in the `repro` binary (this library is
 //! `#![forbid(unsafe_code)]`), so:
 //!
 //! * under `repro`, every heap allocation increments the counters;
 //! * under `cargo test` (no wrapper installed), the counters stay at zero
-//!   and [`enabled`] reports `false` — consumers skip byte-based gating.
+//!   and [`enabled`] reports `false`.
+//!
+//! The gate on what a warm sweep cell allocates — the runtime mirror of
+//! lint rule DVS-H002 — is the per-cell byte ceiling in
+//! `crates/bench/tests/fleet_allocs.rs`, which counts with its own
+//! thread-local allocator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -25,10 +25,10 @@ use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::FleetSpec;
 
 /// Counts every heap allocation into [`dvs_bench::alloc_track`], so the
-/// sweep benchmark can gate the pooled path on allocating *less*, not just
-/// running faster. The library crates forbid `unsafe`, so the allocator
-/// wrapper lives here in the binary; under plain `cargo test` the counters
-/// simply stay at zero and byte gates are skipped.
+/// fleet benchmark can report the heap bytes and allocation calls of each
+/// arm. The library crates forbid `unsafe`, so the allocator wrapper lives
+/// here in the binary; under plain `cargo test` the counters simply stay
+/// at zero.
 struct CountingAlloc;
 
 // SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
@@ -242,7 +242,12 @@ fn jobs() -> Vec<Job> {
         Job {
             key: "compose",
             describe: "cross-app interference: compositor scenarios composed vs solo",
-            run: || compose::render(&compose::run(sweep::default_jobs())),
+            run: || {
+                let out =
+                    run_compose_resilient(sweep::default_jobs(), &ResilienceConfig::default())
+                        .expect("a compose sweep without checkpoints cannot be interrupted");
+                compose::render(&out.sweep) + &out.quarantine.render()
+            },
         },
         Job {
             key: "census",
@@ -325,10 +330,6 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # simulator-core throughput: event heap vs tick-stepper\n\
          \x20                 # (--emit-json defaults to BENCH_simcore.json; --check\n\
          \x20                 #  fails on >20% regression vs the committed baseline)\n\
-         \x20      repro bench sweep [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # sweep throughput: classic path vs shared trace cache +\n\
-         \x20                 # pooled arenas + streaming aggregates over a buffer\n\
-         \x20                 # ladder (--emit-json defaults to BENCH_sweep.json)\n\
          \x20      repro bench trace [--quick] [--emit-json [path]] [--check <baseline>]\n\
          \x20                 # trace-codec benchmark: binary container vs JSON, floor-\n\
          \x20                 # gated at 5x smaller and 5x faster to decode\n\
@@ -348,7 +349,7 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # panic hygiene (rules in docs/lint.md; scope in lint.toml).\n\
          \x20                 # --check exits non-zero on any unwaived finding;\n\
          \x20                 # --emit-json defaults to lint_report.json\n\
-         \x20      repro sweep [--tiny|--quick] [--mode aggregate|full] [--retries N]\n\
+         \x20      repro sweep [--tiny|--quick] [--retries N]\n\
          \x20                 [--checkpoint <path> [--cadence K] [--resume]]\n\
          \x20                 [--emit-json [path]] [--jobs N] [--trace-dir <dir>]\n\
          \x20                 # resilient sweep executor: panics quarantine instead of\n\
@@ -358,6 +359,7 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # --inject-crash-cell K, --inject-torn-checkpoint\n\
          \x20      repro compose [--retries N] [--emit-json [path]] [--jobs N]\n\
          \x20                 # multi-surface compositor suite under the same executor\n\
+         \x20                 # (same --checkpoint and --inject-* flags as repro sweep)\n\
          \x20      repro fleet [--tiny|--quick] [--devices N] [--frames N] [--shards N]\n\
          \x20                 [--engine batched|per-device] [--jobs N] [--retries N]\n\
          \x20                 [--checkpoint <path> [--cadence K] [--resume]]\n\
@@ -383,23 +385,15 @@ fn usage(jobs: &[Job]) -> String {
 }
 
 /// Runs a throughput benchmark: `repro bench` (simulator core) or
-/// `repro bench sweep` (sweep path). Flags (anywhere on the command line):
-/// `--quick` for the CI smoke slice, `--emit-json [path]` to write the
-/// machine-readable result, `--check <baseline.json>` to gate against a
-/// committed baseline.
+/// `repro bench trace` (trace codec). Flags: `--quick` for the CI smoke
+/// slice, `--emit-json [path]` to write the machine-readable result,
+/// `--check <baseline.json>` to gate against a committed baseline.
 fn run_bench(args: &[String]) -> DvsResult<String> {
     let trace_bench = args.iter().any(|a| a == "trace");
-    let sweep_bench = !trace_bench && args.iter().any(|a| a == "sweep");
     let quick = args.iter().any(|a| a == "--quick");
     // `--emit-json` takes an optional path operand; a following flag means
     // "use the default name".
-    let default_json = if trace_bench {
-        "BENCH_trace.json"
-    } else if sweep_bench {
-        "BENCH_sweep.json"
-    } else {
-        "BENCH_simcore.json"
-    };
+    let default_json = if trace_bench { "BENCH_trace.json" } else { "BENCH_simcore.json" };
     let emit: Option<String> =
         args.iter().position(|a| a == "--emit-json").map(|p| match args.get(p + 1) {
             Some(next) if !next.starts_with('-') => next.clone(),
@@ -428,20 +422,6 @@ fn run_bench(args: &[String]) -> DvsResult<String> {
         let json = serde_json::to_string_pretty(&result)
             .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
         (dvs_bench::tracebench::render(&result), json, notes)
-    } else if sweep_bench {
-        let result = dvs_bench::sweepbench::run(quick);
-        let notes = match check_path {
-            Some(path) => {
-                let json = read_text(Path::new(path))?;
-                let baseline: dvs_bench::sweepbench::SweepBench =
-                    serde_json::from_str(&json).map_err(|e| parse_err(path, e))?;
-                Some(dvs_bench::sweepbench::check(&result, &baseline).map_err(gate_err)?)
-            }
-            None => None,
-        };
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        (dvs_bench::sweepbench::render(&result), json, notes)
     } else {
         let result = dvs_bench::simcore::run(quick);
         let notes = match check_path {
@@ -473,21 +453,11 @@ fn run_bench(args: &[String]) -> DvsResult<String> {
 /// malformed waiver fails the run — the CI `lint-suite` job gates on that.
 fn run_lint(args: &[String]) -> Result<(String, bool), String> {
     let check = args.iter().any(|a| a == "--check");
-    let emit_pos = args.iter().position(|a| a == "--emit-json");
-    let emit: Option<String> = emit_pos.map(|p| match args.get(p + 1) {
-        Some(next) if !next.starts_with('-') => next.clone(),
-        _ => "lint_report.json".to_string(),
-    });
-    // Reject anything unrecognised: CI gates on this subcommand, so a
-    // typo'd `--check` must fail loudly, never silently stop gating.
-    let lint_pos = args.iter().position(|a| a == "lint").unwrap_or(0);
-    let emit_path_pos = emit_pos.filter(|&p| emit == args.get(p + 1).cloned()).map(|p| p + 1);
-    for (i, a) in args.iter().enumerate().skip(lint_pos + 1) {
-        if a == "--check" || a == "--emit-json" || Some(i) == emit_path_pos {
-            continue;
-        }
-        return Err(format!("repro lint: unknown argument `{a}` (see repro --help)"));
-    }
+    let emit: Option<String> =
+        args.iter().position(|a| a == "--emit-json").map(|p| match args.get(p + 1) {
+            Some(next) if !next.starts_with('-') => next.clone(),
+            _ => "lint_report.json".to_string(),
+        });
     let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
     let root = dvs_lint::find_workspace_root(&cwd)
         .or_else(|| {
@@ -508,6 +478,80 @@ fn run_lint(args: &[String]) -> Result<(String, bool), String> {
         out.push_str("repro lint --check: FAILED (unwaived findings above)\n");
     }
     Ok((out, dirty))
+}
+
+/// A flag a subcommand accepts after its token, and whether it takes an
+/// operand.
+type Flag = (&'static str, bool);
+
+/// The executor flags `repro sweep`, `compose` and `fleet` share.
+const RESILIENCE_FLAGS: &[Flag] = &[
+    ("--jobs", true),
+    ("--retries", true),
+    ("--checkpoint", true),
+    ("--cadence", true),
+    ("--resume", false),
+    ("--emit-json", true),
+    ("--inject-panic-cell", true),
+    ("--inject-panic-attempts", true),
+    ("--inject-crash-cell", true),
+    ("--inject-torn-checkpoint", false),
+];
+
+/// The flags `repro sweep` accepts besides [`RESILIENCE_FLAGS`].
+const SWEEP_FLAGS: &[Flag] = &[("--tiny", false), ("--quick", false), ("--trace-dir", true)];
+
+/// The flags `repro fleet` accepts besides [`RESILIENCE_FLAGS`].
+const FLEET_FLAGS: &[Flag] = &[
+    ("--tiny", false),
+    ("--quick", false),
+    ("--devices", true),
+    ("--frames", true),
+    ("--shards", true),
+    ("--engine", true),
+    ("--trace-dir", true),
+    ("--bench", false),
+    ("--check", true),
+];
+
+/// The flags `repro bench` accepts; `trace` selects the trace-codec bench.
+const BENCH_FLAGS: &[Flag] =
+    &[("trace", false), ("--quick", false), ("--emit-json", true), ("--check", true)];
+
+/// The flags `repro lint` accepts.
+const LINT_FLAGS: &[Flag] = &[("--check", false), ("--emit-json", true)];
+
+/// The flags a subcommand accepts after its token, for the subcommands that
+/// check their arguments.
+fn subcommand_flags(sub: &str) -> Option<&'static [&'static [Flag]]> {
+    Some(match sub {
+        "sweep" => &[RESILIENCE_FLAGS, SWEEP_FLAGS],
+        "compose" => &[RESILIENCE_FLAGS],
+        "fleet" => &[RESILIENCE_FLAGS, FLEET_FLAGS],
+        "bench" => &[BENCH_FLAGS],
+        "lint" => &[LINT_FLAGS],
+        _ => return None,
+    })
+}
+
+/// Rejects the first argument after a subcommand token that the subcommand
+/// does not accept, naming it. CI gates on these subcommands, so a typo'd
+/// flag must fail loudly, never silently fall back to a default. A flag's
+/// operand is the next argument unless that starts with `-`, as
+/// [`flag_value`] reads it.
+fn check_args(sub: &str, rest: &[String], accepted: &[&[Flag]]) -> Result<(), String> {
+    let mut rest = rest.iter().peekable();
+    while let Some(arg) = rest.next() {
+        let Some(&(_, operand)) =
+            accepted.iter().flat_map(|flags| flags.iter()).find(|f| f.0 == arg)
+        else {
+            return Err(format!("repro {sub}: unknown argument `{arg}` (see repro --help)"));
+        };
+        if operand {
+            rest.next_if(|next| !next.starts_with('-'));
+        }
+    }
+    Ok(())
 }
 
 /// Runs a user-provided `ScenarioSpec` (JSON) under the standard ladder of
@@ -602,15 +646,6 @@ fn run_sweep(args: &[String]) -> DvsResult<(String, bool)> {
     let tiny = has_flag(args, "--tiny");
     let quick = has_flag(args, "--quick");
     let cfg = parse_resilience(args)?;
-    let mode = match flag_value(args, "--mode").map(String::as_str) {
-        Some("full") => SweepMode::FullRecords,
-        Some("aggregate") | None => SweepMode::Aggregate,
-        Some(other) => {
-            return Err(DvsError::InvalidConfig(format!(
-                "--mode must be aggregate or full, got {other:?}"
-            )))
-        }
-    };
     let (specs, ladder, label) = if tiny {
         (tiny_suite(), vec![4usize, 5], "tiny resilient sweep".to_string())
     } else {
@@ -636,7 +671,7 @@ fn run_sweep(args: &[String]) -> DvsResult<(String, bool)> {
         baseline_buffers,
         &ladder,
         sweep::default_jobs(),
-        mode,
+        SweepMode::Aggregate,
         Some(&cache),
         &cfg,
     )?;
@@ -875,6 +910,12 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         let a = args[i].trim_start_matches('-').to_lowercase();
+        if let Some(flags) = subcommand_flags(&a) {
+            if let Err(e) = check_args(&a, &args[i + 1..], flags) {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
+        }
         match a.as_str() {
             "all" => all = true,
             "bench" => {

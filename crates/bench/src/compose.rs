@@ -10,17 +10,17 @@
 //! interference matrix of `docs/compositor.md`.
 //!
 //! The sweep is **jobs-invariant**: scenarios are independent cells keyed
-//! only by their specs, executed through the [sweep engine](crate::sweep)
-//! and reassembled by index, so `--jobs N` never changes a byte of output
+//! only by their specs, executed through the resilient executor
+//! ([`run_compose_resilient`](crate::run_compose_resilient)) and
+//! reassembled by index, so `--jobs N` never changes a byte of output
 //! (pinned by `tests/proptest_compositor.rs`).
 
 use dvs_compositor::Compositor;
 use dvs_metrics::InterferenceRow;
-use dvs_workload::{compositor_scenario_suite, CompositeScenario};
+use dvs_workload::CompositeScenario;
 use serde::{Deserialize, Serialize};
 
 use crate::golden::Tolerance;
-use crate::sweep::SweepEngine;
 
 /// The compose budget the interference experiment runs under: one latch per
 /// panel VSync, so any two eligible surfaces contend.
@@ -58,17 +58,6 @@ pub fn run_scenario(scenario: &CompositeScenario, budget: usize) -> ComposeRow {
         compose_budget: budget,
         surfaces,
     }
-}
-
-/// Runs the whole suite through the sweep engine with `jobs` workers.
-///
-/// Rows come back in suite order for every worker count: cells write into
-/// index-addressed slots, never a shared accumulator.
-pub fn run(jobs: usize) -> ComposeSweep {
-    let suite = compositor_scenario_suite();
-    let engine = SweepEngine::new(jobs);
-    let rows = engine.run(suite.len(), |i| run_scenario(&suite[i], INTERFERENCE_BUDGET));
-    ComposeSweep { rows }
 }
 
 /// Compares two sweeps within `tol`, returning human-readable violations.
@@ -165,17 +154,6 @@ pub fn render(sweep: &ComposeSweep) -> String {
 mod tests {
     use super::*;
     use dvs_workload::app_plus_video;
-
-    #[test]
-    fn sweep_is_jobs_invariant() {
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(
-            serde_json::to_string(&seq).unwrap(),
-            serde_json::to_string(&par).unwrap(),
-            "compose sweep must be byte-identical for every worker count"
-        );
-    }
 
     #[test]
     fn compare_accepts_self_and_flags_shape_changes() {

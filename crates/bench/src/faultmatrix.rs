@@ -5,23 +5,22 @@
 //! Like the suite sweep, the matrix is **byte-identical** for every job
 //! count: each cell's trace and fault schedule are derived from stable
 //! textual keys only, and results are reassembled by cell index. It shares
-//! the suite sweep's cost controls too — an optional [`TraceCache`]
-//! generates each scenario's trace once per matrix instead of once per
-//! cell, and [`SweepMode::Aggregate`] streams each cell through the
-//! worker's pooled [`RunArena`] into a [`RunAggregate`] instead of
-//! materialising per-frame record vectors. All combinations produce
-//! byte-identical rows (pinned by tests).
+//! the suite sweep's cost controls too — a per-matrix [`TraceCache`]
+//! generates each scenario's trace once instead of once per cell, and each
+//! cell streams through the worker's pooled [`RunArena`] into a
+//! [`RunAggregate`] instead of materialising per-frame record vectors. The
+//! unit tests pin every row, bit for bit, to a fresh full-report run.
 
 use dvs_core::{DvsyncConfig, DvsyncPacer, WatchdogConfig};
 use dvs_faults::{named_profile, FaultEvent, FaultPlan};
-use dvs_metrics::{PacerMode, RunAggregate, RunReport};
+use dvs_metrics::{PacerMode, RunAggregate};
 use dvs_pipeline::{FramePacer, PipelineConfig, RunArena, Simulator, VsyncPacer};
 use dvs_sim::SimDuration;
 use dvs_workload::{CostProfile, FrameCost, FrameTrace, ScenarioSpec, TraceCache};
 use serde::{Deserialize, Serialize};
 
 use crate::golden::Tolerance;
-use crate::sweep::{PacerKind, SweepEngine, SweepMode};
+use crate::sweep::{PacerKind, SweepEngine};
 
 /// One cell of the fault matrix: a scenario under one fault profile and one
 /// pacing policy.
@@ -128,15 +127,14 @@ pub fn default_specs() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Builds the cell's pacer and runs `trace` under `plan`, producing its row
-/// under the selected reporting mode.
+/// Builds the cell's pacer, runs `trace` under `plan` through the worker's
+/// arena, and reduces the run to the cell's row.
 fn run_cell(
     cell: &FaultCell,
     scenario: &str,
     profile: &str,
     plan: &FaultPlan,
     trace: &FrameTrace,
-    mode: SweepMode,
     arena: &mut RunArena,
 ) -> FaultMatrixRow {
     let cfg = PipelineConfig::new(trace.rate_hz, cell.buffers);
@@ -154,63 +152,15 @@ fn run_cell(
         }
     };
     let sim = Simulator::new(&cfg).with_faults(Some(plan));
-    match mode {
-        SweepMode::FullRecords => summarize(cell, scenario, profile, &sim.run(trace, pacer)),
-        SweepMode::Aggregate => arena.with_scratch_report(|arena, out| {
-            sim.try_run_into(trace, pacer, arena, out)
-                .expect("matrix traces are non-empty and rate-matched");
-            let agg = RunAggregate::from_report(out);
-            summarize_aggregate(cell, scenario, profile, &agg)
-        }),
-    }
-}
-
-fn row_labels(cell: &FaultCell, scenario: &str, profile: &str) -> (String, String, String) {
-    (
-        scenario.to_string(),
-        profile.to_string(),
-        match cell.pacer {
-            PacerKind::Vsync => "vsync".to_string(),
-            PacerKind::Dvsync => "dvsync".to_string(),
-        },
-    )
-}
-
-fn summarize(
-    cell: &FaultCell,
-    scenario: &str,
-    profile: &str,
-    report: &RunReport,
-) -> FaultMatrixRow {
-    let (scenario, profile, pacer) = row_labels(cell, scenario, profile);
+    let agg = arena.with_scratch_report(|arena, out| {
+        sim.try_run_into(trace, pacer, arena, out)
+            .expect("matrix traces are non-empty and rate-matched");
+        RunAggregate::from_report(out)
+    });
     FaultMatrixRow {
-        scenario,
-        profile,
-        pacer,
-        frames: report.records.len(),
-        faults_injected: report.fault_events.len(),
-        janks: report.janks.len(),
-        fdps: report.fdps(),
-        degradations: report.degradations(),
-        recoveries: report.recoveries(),
-        mean_latency_ms: report.mean_latency_ms(),
-    }
-}
-
-/// [`summarize`] from streaming aggregates: every field maps to the
-/// bit-identical [`RunAggregate`] counterpart, so aggregate-mode rows equal
-/// full-record rows exactly (pinned by tests).
-fn summarize_aggregate(
-    cell: &FaultCell,
-    scenario: &str,
-    profile: &str,
-    agg: &RunAggregate,
-) -> FaultMatrixRow {
-    let (scenario, profile, pacer) = row_labels(cell, scenario, profile);
-    FaultMatrixRow {
-        scenario,
-        profile,
-        pacer,
+        scenario: scenario.to_string(),
+        profile: profile.to_string(),
+        pacer: cell.pacer.label().to_string(),
         frames: agg.frames,
         faults_injected: agg.faults,
         janks: agg.janks,
@@ -221,27 +171,19 @@ fn summarize_aggregate(
     }
 }
 
-/// Runs the matrix over `specs` × `profiles` with explicit control over the
-/// reporting mode and an optional shared [`TraceCache`].
+/// Runs the matrix over `specs` × `profiles` with `jobs` sweep workers.
 ///
-/// Results are byte-identical for every `jobs` value, both [`SweepMode`]s,
-/// and cache on/off: cell keys contain no worker or scheduling state, the
-/// engine reassembles rows by index, and the cache only removes redundant
-/// regeneration of identical traces.
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different spec slice than this call.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fault_matrix_opts(
+/// A fresh per-call [`TraceCache`] generates each scenario's trace once and
+/// shares it across the scenario's cells. Results are byte-identical for
+/// every `jobs` value: cell keys contain no worker or scheduling state, and
+/// the engine reassembles rows by index.
+pub fn run_fault_matrix_jobs(
     label: &str,
     specs: &[ScenarioSpec],
     profiles: &[&str],
     vsync_buffers: usize,
     dvsync_buffers: usize,
     jobs: usize,
-    mode: SweepMode,
-    cache: Option<&TraceCache>,
 ) -> FaultMatrixResult {
     let mut cells = Vec::with_capacity(specs.len() * profiles.len() * 2);
     for (spec_index, spec) in specs.iter().enumerate() {
@@ -259,51 +201,17 @@ pub fn run_fault_matrix_opts(
             }
         }
     }
+    let cache = TraceCache::for_specs(specs);
     let rows = SweepEngine::new(jobs).run_with(cells.len(), RunArena::new, |arena, i| {
         let cell = &cells[i];
         let scenario = specs[cell.spec_index].name.as_str();
         let profile = profiles[cell.profile_index];
         let plan = named_profile(profile, cell.key(scenario, profile))
             .expect("matrix profiles are all named");
-        match cache {
-            Some(cache) => {
-                let entry = cache.get(specs, cell.spec_index);
-                run_cell(cell, scenario, profile, &plan, &entry.trace, mode, arena)
-            }
-            None => {
-                let trace = specs[cell.spec_index].generate();
-                run_cell(cell, scenario, profile, &plan, &trace, mode, arena)
-            }
-        }
+        let entry = cache.get(specs, cell.spec_index);
+        run_cell(cell, scenario, profile, &plan, &entry.trace, arena)
     });
     FaultMatrixResult { label: label.to_string(), vsync_buffers, dvsync_buffers, rows }
-}
-
-/// Runs the matrix over `specs` × `profiles` with `jobs` sweep workers.
-///
-/// The standard entry point: a fresh per-call [`TraceCache`] (each
-/// scenario's trace generated once, shared across its cells) and streaming
-/// aggregates. Byte-identical to every other mode/cache combination of
-/// [`run_fault_matrix_opts`].
-pub fn run_fault_matrix_jobs(
-    label: &str,
-    specs: &[ScenarioSpec],
-    profiles: &[&str],
-    vsync_buffers: usize,
-    dvsync_buffers: usize,
-    jobs: usize,
-) -> FaultMatrixResult {
-    let cache = TraceCache::for_specs(specs);
-    run_fault_matrix_opts(
-        label,
-        specs,
-        profiles,
-        vsync_buffers,
-        dvsync_buffers,
-        jobs,
-        SweepMode::Aggregate,
-        Some(&cache),
-    )
 }
 
 /// Runs the default matrix (all named profiles over [`default_specs`]).
@@ -492,44 +400,48 @@ mod tests {
     }
 
     #[test]
-    fn matrix_mode_and_cache_combinations_are_byte_identical() {
-        let specs = default_specs();
+    fn matrix_rows_match_fresh_full_report_runs() {
+        let specs = &default_specs()[..2];
         let profiles = &dvs_faults::profile_names()[..3];
-        let reference = serde_json::to_string(&run_fault_matrix_opts(
-            "t",
-            &specs[..2],
-            profiles,
-            3,
-            5,
-            1,
-            SweepMode::FullRecords,
-            None,
-        ))
-        .unwrap();
-        for mode in [SweepMode::FullRecords, SweepMode::Aggregate] {
-            for cached in [false, true] {
-                let cache = cached.then(|| TraceCache::for_specs(&specs[..2]));
-                let got = run_fault_matrix_opts(
-                    "t",
-                    &specs[..2],
-                    profiles,
-                    3,
-                    5,
-                    2,
-                    mode,
-                    cache.as_ref(),
-                );
-                assert_eq!(
-                    serde_json::to_string(&got).unwrap(),
-                    reference,
-                    "mode {mode:?}, cache {cached} diverged"
-                );
-                if let Some(cache) = &cache {
-                    let stats = cache.stats();
-                    assert_eq!(stats.misses, 2, "one generation per scenario");
-                    assert_eq!(stats.hits, (profiles.len() * 2 * 2 - 2) as u64);
+        // The reference: a fresh arena and a full per-frame report per cell.
+        let mut reference = Vec::new();
+        for spec in specs {
+            let trace = spec.generate();
+            for &profile in profiles {
+                let plan = named_profile(profile, format!("{}/{profile}", spec.name)).unwrap();
+                for (pacer, buffers) in [("vsync", 3), ("dvsync", 5)] {
+                    let cfg = PipelineConfig::new(trace.rate_hz, buffers);
+                    let sim = Simulator::new(&cfg).with_faults(Some(&plan));
+                    let report = if pacer == "vsync" {
+                        sim.run(&trace, &mut VsyncPacer::new())
+                    } else {
+                        let mut dvsync = DvsyncPacer::new(DvsyncConfig::with_buffers(buffers))
+                            .with_watchdog(WatchdogConfig::default());
+                        sim.run(&trace, &mut dvsync)
+                    };
+                    reference.push(FaultMatrixRow {
+                        scenario: spec.name.clone(),
+                        profile: profile.to_string(),
+                        pacer: pacer.to_string(),
+                        frames: report.records.len(),
+                        faults_injected: report.fault_events.len(),
+                        janks: report.janks.len(),
+                        fdps: report.fdps(),
+                        degradations: report.degradations(),
+                        recoveries: report.recoveries(),
+                        mean_latency_ms: report.mean_latency_ms(),
+                    });
                 }
             }
+        }
+        let reference = serde_json::to_string(&reference).unwrap();
+        for jobs in [1, 2] {
+            let m = run_fault_matrix_jobs("t", specs, profiles, 3, 5, jobs);
+            assert_eq!(
+                serde_json::to_string(&m.rows).unwrap(),
+                reference,
+                "jobs {jobs}: matrix rows diverged from fresh full-report runs"
+            );
         }
     }
 

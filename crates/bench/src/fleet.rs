@@ -25,16 +25,14 @@ use std::path::{Path, PathBuf};
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_faults::named_profile;
-use dvs_metrics::{
-    FleetSketch, PartialAccounting, PowerModel, QuarantineEntry, QuarantineReport, RunReport,
-};
+use dvs_metrics::{FleetSketch, PartialAccounting, PowerModel, QuarantineReport, RunReport};
 use dvs_pipeline::{run_batch, BatchLane, PipelineConfig, RunArena, Simulator};
 use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::{DeviceRun, FleetSpec, FrameTrace};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::fingerprint_of;
-use crate::resilient::{execute_cells, restore_progress, ResilienceConfig};
+use crate::resilient::{decode_slots, execute_cells, restore_progress, ResilienceConfig};
 
 /// How many homogeneous lanes the batched engine hands to one
 /// [`run_batch`] call. Each lane runs to completion in its own warm arena,
@@ -356,35 +354,15 @@ pub fn run_fleet_resilient_with(
     let (slots, checkpoint_writes) =
         execute_cells(n, jobs.max(1), &keys, fingerprint, cfg, start_slots, resumed, &work)?;
 
+    // Shard sketches merge one at a time, in shard-index order.
     let mut sketch = FleetSketch::new();
-    let mut quarantine = QuarantineReport::new();
-    let mut accounting =
-        PartialAccounting { cells_total: n, cells_resumed: resumed, ..Default::default() };
-    for (i, slot) in slots.iter().enumerate() {
-        let slot = slot.as_ref().expect("executor filled every slot");
-        if let Some(json) = &slot.ok {
-            let shard_sketch: FleetSketch =
-                serde_json::from_str(json).map_err(|e| DvsError::CheckpointCorrupt {
-                    path: keys[i].clone(),
-                    detail: format!("stored shard sketch does not parse: {e}"),
-                })?;
-            sketch.try_merge(&shard_sketch)?;
-            accounting.cells_ok += 1;
-            if slot.attempts > 1 {
-                accounting.cells_retried += 1;
+    let (quarantine, accounting) =
+        decode_slots(&slots, &keys, resumed, "shard sketch", |shard: Option<FleetSketch>| {
+            match shard {
+                Some(shard) => sketch.try_merge(&shard),
+                None => Ok(()),
             }
-        } else {
-            let q = slot.quarantined.as_ref().expect("slot is ok or quarantined");
-            quarantine.entries.push(QuarantineEntry {
-                cell_index: i,
-                key: q.key.clone(),
-                attempts: slot.attempts,
-                cause: q.cause.clone(),
-            });
-            accounting.cells_quarantined += 1;
-        }
-    }
-    debug_assert!(accounting.is_consistent());
+        })?;
 
     Ok(ResilientFleet {
         report: FleetReport {

@@ -57,6 +57,5 @@ pub use resilient::{
 };
 pub use suite::{run_suite, SuiteResult, SuiteRow};
 pub use sweep::{
-    run_suite_cached, run_suite_jobs, FittedScenario, GridCache, PacerKind, SuiteSweep, SweepCell,
-    SweepEngine, SweepGrid, SweepMode, SweepStats,
+    FittedScenario, GridCache, PacerKind, SweepCell, SweepEngine, SweepGrid, SweepMode, SweepStats,
 };

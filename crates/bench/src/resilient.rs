@@ -48,8 +48,8 @@ use crate::checkpoint::{fingerprint_of, CellSlot, Checkpoint, QuarantinedSlot};
 use crate::compose::{ComposeRow, ComposeSweep, INTERFERENCE_BUDGET};
 use crate::suite::SuiteResult;
 use crate::sweep::{
-    assemble_rows, calibrate_pass, run_cell, CellMetrics, GridCache, PacerKind, SuiteSweep,
-    SweepEngine, SweepGrid, SweepMode, SweepStats,
+    assemble_rows, run_cell, CellMetrics, GridCache, PacerKind, SweepEngine, SweepGrid, SweepMode,
+    SweepStats,
 };
 
 // ---- Configuration ---------------------------------------------------------
@@ -76,7 +76,7 @@ pub struct CheckpointConfig {
     /// the vendored serde has no `PathBuf` impls).
     pub path: String,
     /// Completed cells between checkpoint writes; `0` disables periodic
-    /// writes entirely (the cadence the overhead benchmark measures).
+    /// writes entirely.
     pub cadence: usize,
     /// Whether to restore completed cells from an existing checkpoint at
     /// `path` before executing (a missing file simply starts fresh).
@@ -175,7 +175,11 @@ impl ResilientSweep {
     /// Renders the suite table, cache line, quarantine list, and accounting
     /// summary.
     pub fn render(&self) -> String {
-        let mut out = SuiteSweep { result: self.report.result.clone(), stats: self.stats }.render();
+        let mut out = self.report.result.render();
+        out.push_str(&format!(
+            "trace cache: {} hits, {} misses\n",
+            self.stats.cache_hits, self.stats.cache_misses
+        ));
         out.push_str(&self.report.quarantine.render());
         out.push_str(&self.accounting.render());
         out
@@ -438,6 +442,67 @@ where
     Ok((sh.slots, sh.checkpoint_writes))
 }
 
+/// Decodes a finished slot map in cell-index order — never completion
+/// order — so the quarantine list, the accounting and every caller's fold
+/// are deterministic for any worker count.
+///
+/// `on_cell` receives each cell's value in index order, or `None` for a
+/// quarantined cell; `what` names the stored value in the error of a slot
+/// that does not parse as `T`.
+///
+/// # Errors
+///
+/// * [`DvsError::CheckpointCorrupt`] naming the cell's key, when its stored
+///   JSON does not parse as `T`;
+/// * any error `on_cell` returns.
+pub(crate) fn decode_slots<T, F>(
+    slots: &[Option<CellSlot>],
+    keys: &[String],
+    resumed: usize,
+    what: &str,
+    mut on_cell: F,
+) -> DvsResult<(QuarantineReport, PartialAccounting)>
+where
+    T: Deserialize,
+    F: FnMut(Option<T>) -> DvsResult<()>,
+{
+    let mut quarantine = QuarantineReport::new();
+    let mut accounting = PartialAccounting {
+        cells_total: slots.len(),
+        cells_resumed: resumed,
+        ..Default::default()
+    };
+    for (i, slot) in slots.iter().enumerate() {
+        // dvs-lint: allow(panic-escape, reason = "the executor fills every slot before returning Ok")
+        let slot = slot.as_ref().expect("executor filled every slot");
+        if let Some(json) = &slot.ok {
+            let value = serde_json::from_str(json).map_err(|e| DvsError::CheckpointCorrupt {
+                // dvs-lint: allow(panic-escape, reason = "keys has one entry per slot; i indexes the same range")
+                path: keys[i].clone(),
+                detail: format!("stored {what} failed to parse: {e}"),
+            })?;
+            on_cell(Some(value))?;
+            accounting.cells_ok += 1;
+            if slot.attempts > 1 {
+                accounting.cells_retried += 1;
+            }
+        } else {
+            // dvs-lint: allow(panic-escape, reason = "the branch above guarantees ok is None, so quarantined is Some")
+            let q = slot.quarantined.as_ref().expect("slot is ok or quarantined");
+            on_cell(None)?;
+            quarantine.entries.push(QuarantineEntry {
+                cell_index: i,
+                key: q.key.clone(),
+                attempts: slot.attempts,
+                cause: q.cause.clone(),
+            });
+            accounting.cells_quarantined += 1;
+        }
+    }
+    debug_assert!(accounting.is_consistent());
+    Ok((quarantine, accounting))
+}
+
 // ---- The resilient suite sweep ---------------------------------------------
 
 /// The grid fingerprint binding a checkpoint to one sweep identity.
@@ -489,14 +554,17 @@ pub(crate) fn restore_progress(
     Ok((ckpt.slots, resumed))
 }
 
-/// Calibrates and measures a suite through the resilient executor.
+/// Calibrates and measures a suite through the resilient executor — the
+/// one suite runner.
 ///
-/// Semantics mirror [`run_suite_cached`](crate::run_suite_cached) exactly on
-/// the happy path — same calibration pass, same cell work, same row
-/// assembly — so a clean resilient run's [`SweepReport`] is byte-identical
-/// to the classic runner's suite. On top of that: panicking cells retry and
-/// quarantine instead of aborting, and progress persists/resumes through
-/// `cfg.checkpoint`.
+/// Each scenario's baseline is calibrated to its paper FDPS, then the
+/// baseline and every D-VSync buffer configuration run on the calibrated
+/// trace. Calibration and trace generation go through `cache`, so a
+/// long-lived cache shared by repeated calls (a buffer ladder) calibrates
+/// each scenario once; `None` builds a fresh cache for this call. The
+/// report is byte-identical for every `jobs` value. Panicking cells retry
+/// and quarantine instead of aborting, and progress persists/resumes
+/// through `cfg.checkpoint`.
 ///
 /// Quarantined cells contribute zeroed metrics to their suite row (the row
 /// is still present, keeping the report's shape stable) and are listed in
@@ -510,6 +578,11 @@ pub(crate) fn restore_progress(
 /// * [`DvsError::CheckpointCorrupt`] / [`DvsError::CheckpointIncompatible`] —
 ///   resume was requested against an unusable checkpoint.
 /// * [`DvsError::Io`] — a checkpoint write failed.
+///
+/// # Panics
+///
+/// Panics if `cache` was built for a different spec count or baseline
+/// buffer count than this call.
 #[allow(clippy::too_many_arguments)]
 pub fn run_suite_resilient(
     label: &str,
@@ -522,18 +595,30 @@ pub fn run_suite_resilient(
     cfg: &ResilienceConfig,
 ) -> DvsResult<ResilientSweep> {
     let engine = SweepEngine::new(jobs);
-    if let Some(cache) = cache {
-        assert_eq!(cache.len(), specs.len(), "grid cache sized for a different spec slice");
-        assert_eq!(
-            cache.baseline_buffers(),
-            baseline_buffers,
-            "grid cache calibrated at a different baseline buffer count"
-        );
-    }
+    let fresh;
+    let cache = match cache {
+        Some(cache) => {
+            assert_eq!(cache.len(), specs.len(), "grid cache sized for a different spec slice");
+            assert_eq!(
+                cache.baseline_buffers(),
+                baseline_buffers,
+                "grid cache calibrated at a different baseline buffer count"
+            );
+            cache
+        }
+        None => {
+            fresh = GridCache::for_suite(specs, baseline_buffers);
+            &fresh
+        }
+    };
 
-    // Calibration runs outside the cell failure domain (see module docs of
-    // `sweep` and "Failure domains" in docs/SIMULATOR-INTERNALS.md).
-    let fitted = calibrate_pass(&engine, specs, baseline_buffers, cache);
+    // One calibration cell per scenario, through the cache. This pass is
+    // *not* a cell failure domain — a panic here aborts the sweep (see
+    // "Failure domains" in docs/SIMULATOR-INTERNALS.md): calibration
+    // artifacts are shared by every cell of a scenario, so there is no
+    // per-cell blast radius to contain.
+    let fitted =
+        engine.run_with(specs.len(), RunArena::new, |arena, i| cache.fitted(specs, i, arena));
     let grid = SweepGrid::for_scenarios(
         fitted.iter().map(|f| (f.seed, f.spec.rate_hz)),
         baseline_buffers,
@@ -551,15 +636,12 @@ pub fn run_suite_resilient(
         let cell = &grid.cells[i];
         // dvs-lint: allow(panic-escape, reason = "spec_index was produced by the grid builder against this fitted list")
         let entry = &fitted[cell.spec_index];
-        if cache.is_some() {
-            if cell.pacer == PacerKind::Vsync {
-                entry.baseline_metrics(cell, mode, arena)
-            } else {
-                run_cell(cell, &entry.spec, &entry.segments, mode, arena)
-            }
+        if cell.pacer == PacerKind::Vsync {
+            // The baseline cell is identical in every call sharing this
+            // cache — measure it once, reuse forever.
+            entry.baseline_metrics(cell, arena)
         } else {
-            let segments = entry.spec.generate_segments();
-            run_cell(cell, &entry.spec, &segments, mode, arena)
+            run_cell(cell, &entry.spec, &entry.segments, arena)
         }
     };
 
@@ -580,44 +662,14 @@ pub fn run_suite_resilient(
         }
     }
 
-    // Decode outcomes in index order — never completion order — so the
-    // report and quarantine list are deterministic for any worker count.
+    // A quarantined cell keeps its row position with zeroed metrics; the
+    // quarantine list is the authoritative exclusion record.
     let mut metrics = Vec::with_capacity(n);
-    let mut quarantine = QuarantineReport::new();
-    let mut accounting =
-        PartialAccounting { cells_total: n, cells_resumed: resumed, ..Default::default() };
-    for (i, slot) in slots.iter().enumerate() {
-        // dvs-lint: allow(panic-escape, reason = "the executor fills every slot before returning Ok")
-        let slot = slot.as_ref().expect("executor filled every slot");
-        if let Some(json) = &slot.ok {
-            let m: CellMetrics = serde_json::from_str(json).map_err(|e| {
-                DvsError::CheckpointCorrupt {
-                    // dvs-lint: allow(panic-escape, reason = "keys has one entry per grid cell; i indexes the same range")
-                    path: keys[i].clone(),
-                    detail: format!("stored cell metrics do not parse: {e}"),
-                }
-            })?;
-            metrics.push(m);
-            accounting.cells_ok += 1;
-            if slot.attempts > 1 {
-                accounting.cells_retried += 1;
-            }
-        } else {
-            // dvs-lint: allow(panic-escape, reason = "the branch above guarantees ok is None, so quarantined is Some")
-            let q = slot.quarantined.as_ref().expect("slot is ok or quarantined");
-            // A quarantined cell keeps its row position with zeroed metrics;
-            // the quarantine list is the authoritative exclusion record.
-            metrics.push(CellMetrics { fdps: 0.0, latency_ms: 0.0 });
-            quarantine.entries.push(QuarantineEntry {
-                cell_index: i,
-                key: q.key.clone(),
-                attempts: slot.attempts,
-                cause: q.cause.clone(),
-            });
-            accounting.cells_quarantined += 1;
-        }
-    }
-    debug_assert!(accounting.is_consistent());
+    let (quarantine, accounting) =
+        decode_slots(&slots, &keys, resumed, "cell metrics", |m: Option<CellMetrics>| {
+            metrics.push(m.unwrap_or(CellMetrics { fdps: 0.0, latency_ms: 0.0 }));
+            Ok(())
+        })?;
 
     let rows = assemble_rows(&fitted, &grid, &metrics);
     Ok(ResilientSweep {
@@ -630,7 +682,7 @@ pub fn run_suite_resilient(
             },
             quarantine,
         },
-        stats: cache.map(GridCache::stats).unwrap_or_default(),
+        stats: cache.stats(),
         accounting,
         checkpoint_writes,
     })
@@ -682,9 +734,10 @@ impl ResilientCompose {
     }
 }
 
-/// Runs the compositor interference suite through the resilient executor:
-/// same cells and order as [`compose::run`](crate::compose::run), but a
-/// panicking scenario retries and quarantines instead of aborting the sweep.
+/// Runs the compositor interference suite through the resilient executor —
+/// the one compose runner: a panicking scenario retries and quarantines
+/// instead of aborting the sweep, and rows come back in suite order for
+/// every worker count.
 pub fn run_compose_resilient(jobs: usize, cfg: &ResilienceConfig) -> DvsResult<ResilientCompose> {
     let suite = compositor_scenario_suite();
     let n = suite.len();
@@ -705,38 +758,11 @@ pub fn run_compose_resilient(jobs: usize, cfg: &ResilienceConfig) -> DvsResult<R
         execute_cells(n, jobs.max(1), &keys, fingerprint, cfg, start_slots, resumed, &work)?;
 
     let mut rows = Vec::with_capacity(n);
-    let mut quarantine = QuarantineReport::new();
-    let mut accounting =
-        PartialAccounting { cells_total: n, cells_resumed: resumed, ..Default::default() };
-    for (i, slot) in slots.iter().enumerate() {
-        // dvs-lint: allow(panic-escape, reason = "the executor fills every slot before returning Ok")
-        let slot = slot.as_ref().expect("executor filled every slot");
-        if let Some(json) = &slot.ok {
-            let row: ComposeRow = serde_json::from_str(json).map_err(|e| {
-                DvsError::CheckpointCorrupt {
-                    // dvs-lint: allow(panic-escape, reason = "keys has one entry per suite scenario; i indexes the same range")
-                    path: keys[i].clone(),
-                    detail: format!("stored compose row does not parse: {e}"),
-                }
-            })?;
-            rows.push(row);
-            accounting.cells_ok += 1;
-            if slot.attempts > 1 {
-                accounting.cells_retried += 1;
-            }
-        } else {
-            // dvs-lint: allow(panic-escape, reason = "the branch above guarantees ok is None, so quarantined is Some")
-            let q = slot.quarantined.as_ref().expect("slot is ok or quarantined");
-            quarantine.entries.push(QuarantineEntry {
-                cell_index: i,
-                key: q.key.clone(),
-                attempts: slot.attempts,
-                cause: q.cause.clone(),
-            });
-            accounting.cells_quarantined += 1;
-        }
-    }
-    debug_assert!(accounting.is_consistent());
+    let (quarantine, accounting) =
+        decode_slots(&slots, &keys, resumed, "compose row", |row: Option<ComposeRow>| {
+            rows.extend(row);
+            Ok(())
+        })?;
     Ok(ResilientCompose { sweep: ComposeSweep { rows }, quarantine, accounting })
 }
 
@@ -758,26 +784,29 @@ mod tests {
         dir.join(format!("{}_{name}", std::process::id())).to_string_lossy().into_owned()
     }
 
-    fn clean_run(specs: &[ScenarioSpec], jobs: usize, mode: SweepMode) -> ResilientSweep {
-        run_suite_resilient("t", specs, 3, &[4, 5], jobs, mode, None, &ResilienceConfig::default())
-            .unwrap()
+    fn clean_run(specs: &[ScenarioSpec], jobs: usize) -> ResilientSweep {
+        let cfg = ResilienceConfig::default();
+        run_suite_resilient("t", specs, 3, &[4, 5], jobs, SweepMode::Aggregate, None, &cfg).unwrap()
     }
 
     #[test]
-    fn clean_resilient_run_matches_classic_runner_byte_for_byte() {
+    fn clean_resilient_run_measures_every_cell() {
         let specs = specs();
-        let classic =
-            crate::run_suite_cached("t", &specs, 3, &[4, 5], 1, SweepMode::Aggregate, None);
-        let resilient = clean_run(&specs, 2, SweepMode::Aggregate);
+        let resilient = clean_run(&specs, 2);
         assert_eq!(
-            serde_json::to_string(&classic.result).unwrap(),
-            serde_json::to_string(&resilient.report.result).unwrap(),
-            "resilient happy path must reproduce the classic runner exactly"
+            resilient.report.to_json(),
+            clean_run(&specs, 1).report.to_json(),
+            "the report must not depend on the worker count"
         );
         assert!(resilient.report.quarantine.is_empty());
         assert!(!resilient.degraded());
         assert!(resilient.accounting.is_consistent());
         assert_eq!(resilient.accounting.cells_ok, resilient.accounting.cells_total);
+        assert_eq!(
+            resilient.stats,
+            SweepStats { cache_hits: 0, cache_misses: 2, cache_loads: 0 },
+            "without a caller's cache each scenario calibrates once, in a fresh cache"
+        );
     }
 
     #[test]
@@ -835,7 +864,7 @@ mod tests {
         assert!(!out.degraded());
         assert_eq!(out.accounting.cells_retried, 1);
         // The retried cell's metrics match an uninjected run exactly.
-        let clean = clean_run(&specs, 1, SweepMode::Aggregate);
+        let clean = clean_run(&specs, 1);
         assert_eq!(out.report.to_json(), clean.report.to_json());
     }
 
@@ -844,7 +873,7 @@ mod tests {
         let specs = specs();
         let path = temp_ckpt("crash_resume.ckpt");
         let _ = std::fs::remove_file(&path);
-        let reference = clean_run(&specs, 1, SweepMode::Aggregate);
+        let reference = clean_run(&specs, 1);
         let ck = CheckpointConfig { path: path.clone(), cadence: 1, resume: true };
         let crash_cfg = ResilienceConfig {
             retry: RetryPolicy::default(),
@@ -925,14 +954,13 @@ mod tests {
             base,
             grid_fingerprint(&specs, 3, &[4, 5], SweepMode::Aggregate, RetryPolicy::default())
         );
+        // The value checkpoints were written under while a second mode
+        // existed: those checkpoints must still resume.
+        assert_eq!(base, 0xa1ea_1c24_3f87_4bc1);
         // Any identity change moves it.
         assert_ne!(
             base,
             grid_fingerprint(&specs, 3, &[4], SweepMode::Aggregate, RetryPolicy::default())
-        );
-        assert_ne!(
-            base,
-            grid_fingerprint(&specs, 3, &[4, 5], SweepMode::FullRecords, RetryPolicy::default())
         );
         assert_ne!(
             base,
@@ -974,10 +1002,16 @@ mod tests {
     fn compose_quarantines_a_panicking_scenario() {
         let clean = run_compose_resilient(1, &ResilienceConfig::default()).unwrap();
         assert!(!clean.degraded());
+        let direct = ComposeSweep {
+            rows: compositor_scenario_suite()
+                .iter()
+                .map(|s| crate::compose::run_scenario(s, INTERFERENCE_BUDGET))
+                .collect(),
+        };
         assert_eq!(
             serde_json::to_string(&clean.sweep).unwrap(),
-            serde_json::to_string(&crate::compose::run(1)).unwrap(),
-            "clean resilient compose must match the classic compose sweep"
+            serde_json::to_string(&direct).unwrap(),
+            "clean resilient compose must match running each scenario directly"
         );
         let cfg = ResilienceConfig {
             retry: RetryPolicy { max_attempts: 2 },
@@ -1013,9 +1047,32 @@ mod tests {
         assert_eq!(out.accounting.cells_resumed, 0);
         assert_eq!(out.checkpoint_writes, 0, "cadence 0 disables checkpointing");
         assert!(!Path::new(&path).exists());
-        assert_eq!(
-            out.report.to_json(),
-            clean_run(&specs, 1, SweepMode::Aggregate).report.to_json()
-        );
+        assert_eq!(out.report.to_json(), clean_run(&specs, 1).report.to_json());
+    }
+
+    #[test]
+    fn unparseable_slot_is_corrupt_and_names_its_cell() {
+        let stored =
+            |json: String| Some(CellSlot { ok: Some(json), quarantined: None, attempts: 1 });
+        let metrics = CellMetrics { fdps: 1.0, latency_ms: 2.0 };
+        let slots = vec![
+            stored(serde_json::to_string(&metrics).unwrap()),
+            stored(serde_json::to_string(&ComposeSweep { rows: Vec::new() }).unwrap()),
+        ];
+        let keys = vec!["first".to_string(), "second".to_string()];
+        let mut decoded = Vec::new();
+        let err = decode_slots(&slots, &keys, 0, "cell metrics", |m: Option<CellMetrics>| {
+            decoded.push(m);
+            Ok(())
+        })
+        .unwrap_err();
+        match err {
+            DvsError::CheckpointCorrupt { path, detail } => {
+                assert_eq!(path, "second", "the error names the bad cell's key");
+                assert!(detail.contains("stored cell metrics failed to parse"), "{detail}");
+            }
+            other => panic!("expected CheckpointCorrupt, got {other}"),
+        }
+        assert_eq!(decoded, vec![Some(metrics)], "cells before the bad slot were handed over");
     }
 }

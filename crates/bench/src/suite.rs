@@ -1,11 +1,15 @@
-//! The shared suite runner: calibrate each scenario's baseline, then measure
-//! every configuration on the *same* trace.
+//! Suite results and the figure-facing suite runner: calibrate each
+//! scenario's baseline, then measure every configuration on the *same*
+//! trace.
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_metrics::RunReport;
 use dvs_pipeline::{run_segmented, VsyncPacer};
 use dvs_workload::ScenarioSpec;
 use serde::{Deserialize, Serialize};
+
+use crate::resilient::{run_suite_resilient, ResilienceConfig};
+use crate::sweep::SweepMode;
 
 /// One scenario across all measured configurations.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -119,23 +123,33 @@ pub fn run_dvsync(spec: &ScenarioSpec, buffers: usize) -> RunReport {
 /// Calibrates every scenario's baseline to its paper FDPS, then measures the
 /// baseline and each D-VSync buffer configuration on the calibrated trace.
 ///
-/// Runs through the [sweep engine](crate::sweep) with the process-default
-/// job count ([`crate::sweep::default_jobs`]); results are byte-identical at
-/// every job count. Use [`crate::sweep::run_suite_jobs`] for an explicit
-/// worker count.
+/// The wrapper behind Figs. 11–13 and `repro custom`: it runs
+/// [`run_suite_resilient`] with the process-default job count
+/// ([`crate::sweep::default_jobs`]), a fresh grid cache and the default
+/// [`ResilienceConfig`]; results are byte-identical at every job count.
+///
+/// # Panics
+///
+/// Panics with the rendered quarantine list if a cell exhausts its retries.
 pub fn run_suite(
     label: &str,
     specs: &[ScenarioSpec],
     baseline_buffers: usize,
     dvsync_buffers: &[usize],
 ) -> SuiteResult {
-    crate::sweep::run_suite_jobs(
+    let out = run_suite_resilient(
         label,
         specs,
         baseline_buffers,
         dvsync_buffers,
         crate::sweep::default_jobs(),
+        SweepMode::Aggregate,
+        None,
+        &ResilienceConfig::default(),
     )
+    .expect("a sweep without checkpoints or injected faults cannot be interrupted");
+    assert!(!out.degraded(), "suite cells failed:\n{}", out.report.quarantine.render());
+    out.report.result
 }
 
 #[cfg(test)]

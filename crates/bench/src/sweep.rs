@@ -4,8 +4,9 @@
 //!
 //! # Determinism guarantee
 //!
-//! Parallel and sequential sweeps produce identical [`SuiteResult`]s because
-//! nothing a worker computes depends on *which* worker computes it or *when*:
+//! Parallel and sequential sweeps produce identical
+//! [`SuiteResult`](crate::SuiteResult)s because nothing a worker computes
+//! depends on *which* worker computes it or *when*:
 //!
 //! 1. **Seeding** — every random stream is seeded by
 //!    [`dvs_sim::stable_seed`] over a stable textual key. Cells of the same
@@ -25,18 +26,19 @@
 //!
 //! # Redundancy and allocation
 //!
-//! Three optional mechanisms make large grids cheap without changing a
-//! single output byte (the determinism suite pins all combinations):
+//! Two mechanisms make large grids cheap without changing a single output
+//! byte:
 //!
 //! * a [`GridCache`] calibrates each scenario and generates its trace
-//!   **exactly once per grid** (shared via `Arc`, write-once slots keyed by
+//!   **exactly once per cache** (shared via `Arc`, write-once slots keyed by
 //!   `(spec_index, seed)`), instead of once per suite call and once per
 //!   cell;
-//! * every worker owns one [`RunArena`], so runs recycle their event heap,
-//!   per-frame state, and report vectors instead of reallocating per cell;
-//! * [`SweepMode::Aggregate`] streams each cell's frames into online
-//!   statistics ([`RunAggregate`]) through the arena's pooled scratch
-//!   report, so cells never hand back per-frame record vectors.
+//! * every worker owns one [`RunArena`], and each cell streams its frames
+//!   through the arena's pooled scratch report into online statistics
+//!   ([`RunAggregate`]), so cells never hand back per-frame record vectors.
+//!
+//! The suite runner that drives these passes is
+//! [`run_suite_resilient`](crate::run_suite_resilient).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -44,14 +46,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
-use dvs_metrics::{RunAggregate, RunReport};
+use dvs_metrics::RunAggregate;
 use dvs_pipeline::{
     calibrate_spec_pooled, run_segments_into, FramePacer, RunArena, SimCore, VsyncPacer,
 };
 use dvs_workload::{FrameTrace, ScenarioSpec, TraceCache};
 use serde::{Deserialize, Serialize};
 
-use crate::suite::{SuiteResult, SuiteRow};
+use crate::suite::SuiteRow;
 
 /// Which pacing policy a cell measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -290,27 +292,19 @@ pub struct FittedScenario {
     /// baseline FDPS).
     pub spec: ScenarioSpec,
     /// The fitted trace sliced into animation segments, ready to run.
-    /// Empty for uncached suite runs (cells regenerate their own).
     pub segments: Vec<FrameTrace>,
     /// The baseline (VSync) cell's metrics, measured once per cache.
     ///
     /// Every call of a ladder re-measures the *identical* baseline
     /// configuration — same trace, same pacer, same buffer count — so the
-    /// result is memoized alongside the calibration. Both [`SweepMode`]s
-    /// produce bit-identical metrics (pinned by tests), so the memo is safe
-    /// whichever mode fills it.
+    /// result is memoized alongside the calibration.
     baseline: OnceLock<CellMetrics>,
 }
 
 impl FittedScenario {
     /// The baseline cell's metrics, computed through `arena` on first use.
-    pub(crate) fn baseline_metrics(
-        &self,
-        cell: &SweepCell,
-        mode: SweepMode,
-        arena: &mut RunArena,
-    ) -> CellMetrics {
-        *self.baseline.get_or_init(|| run_cell(cell, &self.spec, &self.segments, mode, arena))
+    pub(crate) fn baseline_metrics(&self, cell: &SweepCell, arena: &mut RunArena) -> CellMetrics {
+        *self.baseline.get_or_init(|| run_cell(cell, &self.spec, &self.segments, arena))
     }
 }
 
@@ -321,12 +315,12 @@ impl FittedScenario {
 /// Calibration is a scenario's most expensive step (a search of about a
 /// dozen measurements, even though they reuse each other's segments), and
 /// evaluation flows like the buffer-ablation ladder call the suite runner
-/// several times over the *same* scenarios —
-/// without a shared cache every call recalibrates and every cell
-/// regenerates. Slots are write-once ([`OnceLock`]) and keyed by
-/// `(spec_index, seed)`: lookups allocate nothing, racing workers converge
-/// on one entry (one miss per scenario, ever), and a mismatched spec slice
-/// panics instead of silently serving another scenario's trace.
+/// several times over the *same* scenarios, so a long-lived cache passed
+/// to every call calibrates each scenario once for the whole flow. Slots
+/// are write-once ([`OnceLock`]) and keyed by `(spec_index, seed)`: lookups
+/// allocate nothing, racing workers converge on one entry (one miss per
+/// scenario, ever), and a mismatched spec slice panics instead of silently
+/// serving another scenario's trace.
 #[derive(Debug)]
 pub struct GridCache {
     baseline_buffers: usize,
@@ -483,39 +477,21 @@ impl GridCache {
 // ---- The suite sweep -------------------------------------------------------
 
 /// How sweep cells report their measurements.
+///
+/// One mode remains. It stays a parameter of
+/// [`run_suite_resilient`](crate::run_suite_resilient) and
+/// [`grid_fingerprint`](crate::grid_fingerprint) because the fingerprint
+/// spells it out (`mode=Aggregate`), so checkpoints written before the
+/// other mode was removed still resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
-    /// Each cell materializes a full per-frame [`RunReport`] (fresh vectors
-    /// per cell) and derives its row values from it. Choose this when the
-    /// records themselves are wanted downstream.
-    FullRecords,
     /// Each cell runs through the worker's pooled arena and streams its
     /// frames into online statistics ([`RunAggregate`]); only fixed-size
-    /// aggregates leave the cell. Row values are bit-identical to
-    /// [`SweepMode::FullRecords`] — the aggregate applies the exact same
-    /// float operations — which the determinism suite pins.
+    /// aggregates leave the cell. The values are bit-identical to the same
+    /// run's full [`RunReport`](dvs_metrics::RunReport) (the aggregate
+    /// applies the exact same float operations), which the determinism
+    /// wall pins.
     Aggregate,
-}
-
-/// A suite result plus the sweep's cache statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SuiteSweep {
-    /// The measured suite.
-    pub result: SuiteResult,
-    /// Cache traffic (zeros when the sweep ran uncached).
-    pub stats: SweepStats,
-}
-
-impl SuiteSweep {
-    /// Renders the suite table plus the cache-traffic line.
-    pub fn render(&self) -> String {
-        let mut out = self.result.render();
-        out.push_str(&format!(
-            "trace cache: {} hits, {} misses\n",
-            self.stats.cache_hits, self.stats.cache_misses
-        ));
-        out
-    }
 }
 
 /// One cell's row contribution (the only data a suite grid keeps per cell).
@@ -530,182 +506,40 @@ pub(crate) struct CellMetrics {
     pub(crate) latency_ms: f64,
 }
 
-/// Runs one cell's segments into `out` with the cell's pacer.
-fn run_cell_into(
-    cell: &SweepCell,
-    spec: &ScenarioSpec,
-    segments: &[FrameTrace],
-    arena: &mut RunArena,
-    out: &mut RunReport,
-) {
-    match cell.pacer {
-        PacerKind::Vsync => run_segments_into(
-            &spec.name,
-            cell.rate_hz,
-            segments,
-            cell.buffers,
-            SimCore::default(),
-            || Box::new(VsyncPacer::new()) as Box<dyn FramePacer>,
-            arena,
-            out,
-        ),
-        PacerKind::Dvsync => run_segments_into(
-            &spec.name,
-            cell.rate_hz,
-            segments,
-            cell.buffers,
-            SimCore::default(),
-            || {
-                Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(cell.buffers)))
-                    as Box<dyn FramePacer>
-            },
-            arena,
-            out,
-        ),
-    }
-}
-
-/// Executes one cell under the selected reporting mode.
+/// Executes one cell: runs its segments with the cell's pacer through the
+/// worker's arena and reduces the frames to the row's two scalars.
 pub(crate) fn run_cell(
     cell: &SweepCell,
     spec: &ScenarioSpec,
     segments: &[FrameTrace],
-    mode: SweepMode,
     arena: &mut RunArena,
 ) -> CellMetrics {
-    match mode {
-        SweepMode::FullRecords => {
-            // Fresh arena + report: the materializing mode keeps per-cell
-            // allocation behaviour (and output) of the classic path.
-            let mut fresh = RunArena::new();
-            let mut out = RunReport::default();
-            run_cell_into(cell, spec, segments, &mut fresh, &mut out);
-            CellMetrics { fdps: out.fdps(), latency_ms: out.mean_latency_ms() }
-        }
-        SweepMode::Aggregate => arena.with_scratch_report(|arena, out| {
-            run_cell_into(cell, spec, segments, arena, out);
-            let agg = RunAggregate::from_report(out);
-            CellMetrics { fdps: agg.fdps(), latency_ms: agg.mean_latency_ms() }
-        }),
-    }
-}
-
-/// Calibrates and measures a suite through the sweep engine, with explicit
-/// control over the reporting mode and an optional shared [`GridCache`].
-///
-/// Semantics are identical to the classic sequential runner: each scenario's
-/// baseline is calibrated to its paper FDPS, then the baseline and every
-/// D-VSync buffer configuration run on the calibrated trace. The output is
-/// byte-identical across every `jobs` value, both [`SweepMode`]s, and cache
-/// on/off — only the work performed differs:
-///
-/// * with a cache, calibration and trace generation happen once per scenario
-///   per *cache* (repeat calls over the same scenarios — e.g. a buffer
-///   ladder — reuse everything);
-/// * without one, every call recalibrates and every cell regenerates its
-///   segments (the redundant classic behaviour, kept as the benchmark
-///   baseline and the determinism suite's reference arm).
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different spec count or baseline
-/// buffer count than this call.
-pub fn run_suite_cached(
-    label: &str,
-    specs: &[ScenarioSpec],
-    baseline_buffers: usize,
-    dvsync_buffers: &[usize],
-    jobs: usize,
-    mode: SweepMode,
-    cache: Option<&GridCache>,
-) -> SuiteSweep {
-    let engine = SweepEngine::new(jobs);
-    if let Some(cache) = cache {
-        assert_eq!(cache.len(), specs.len(), "grid cache sized for a different spec slice");
-        assert_eq!(
-            cache.baseline_buffers(),
-            baseline_buffers,
-            "grid cache calibrated at a different baseline buffer count"
-        );
-    }
-
-    // Pass 1: one calibration cell per scenario (a scenario's search costs
-    // more than any one of its cells, so it parallelises first and
-    // independently).
-    let fitted = calibrate_pass(&engine, specs, baseline_buffers, cache);
-
-    // Pass 2: the measurement grid over the calibrated specs.
-    let grid = SweepGrid::for_scenarios(
-        fitted.iter().map(|f| (f.seed, f.spec.rate_hz)),
-        baseline_buffers,
-        dvsync_buffers,
-    );
-    let metrics: Vec<CellMetrics> = engine.run_with(grid.cells.len(), RunArena::new, |arena, i| {
-        let cell = &grid.cells[i];
-        let entry = &fitted[cell.spec_index];
-        if cache.is_some() {
-            if cell.pacer == PacerKind::Vsync {
-                // The baseline cell is identical in every call sharing this
-                // cache — measure it once, reuse forever.
-                entry.baseline_metrics(cell, mode, arena)
-            } else {
-                run_cell(cell, &entry.spec, &entry.segments, mode, arena)
+    arena.with_scratch_report(|arena, out| {
+        let make_pacer = || -> Box<dyn FramePacer> {
+            match cell.pacer {
+                PacerKind::Vsync => Box::new(VsyncPacer::new()),
+                PacerKind::Dvsync => {
+                    Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(cell.buffers)))
+                }
             }
-        } else {
-            let segments = entry.spec.generate_segments();
-            run_cell(cell, &entry.spec, &segments, mode, arena)
-        }
-    });
-
-    let rows = assemble_rows(&fitted, &grid, &metrics);
-    SuiteSweep {
-        result: SuiteResult {
-            label: label.to_string(),
-            baseline_buffers,
-            dvsync_buffers: dvsync_buffers.to_vec(),
-            rows,
-        },
-        stats: cache.map(GridCache::stats).unwrap_or_default(),
-    }
+        };
+        run_segments_into(
+            &spec.name,
+            cell.rate_hz,
+            segments,
+            cell.buffers,
+            SimCore::default(),
+            make_pacer,
+            arena,
+            out,
+        );
+        let agg = RunAggregate::from_report(out);
+        CellMetrics { fdps: agg.fdps(), latency_ms: agg.mean_latency_ms() }
+    })
 }
 
-/// The calibration pass shared by the cached and resilient sweep runners:
-/// one calibration cell per scenario, through the cache when one is given.
-///
-/// This pass is *not* a cell failure domain — a panic here aborts the sweep
-/// (see "Failure domains" in `docs/SIMULATOR-INTERNALS.md`): calibration
-/// artifacts are shared by every cell of a scenario, so there is no
-/// per-cell blast radius to contain.
-pub(crate) fn calibrate_pass(
-    engine: &SweepEngine,
-    specs: &[ScenarioSpec],
-    baseline_buffers: usize,
-    cache: Option<&GridCache>,
-) -> Vec<Arc<FittedScenario>> {
-    match cache {
-        Some(cache) => {
-            engine.run_with(specs.len(), RunArena::new, |arena, i| cache.fitted(specs, i, arena))
-        }
-        None => engine.run(specs.len(), |i| {
-            // No shared cache: the classic path — calibration allocates
-            // fresh run state per measure, and cells regenerate their own
-            // segments (the entry carries none).
-            let spec = dvs_pipeline::calibrate_spec(&specs[i], baseline_buffers).spec;
-            Arc::new(FittedScenario {
-                seed: specs[i].seed,
-                spec,
-                segments: Vec::new(),
-                baseline: OnceLock::new(),
-            })
-        }),
-    }
-}
-
-/// Assembles suite rows in scenario order from index-stable metric slots.
-///
-/// Shared by the cached and resilient sweep paths: given the same metrics,
-/// both produce the same rows, so a resumed resilient sweep's report is
-/// byte-identical to this function's output over a clean run.
+/// Assembles suite rows in scenario order from index-stable metric slots,
+/// so a resumed sweep's rows are byte-identical to a clean run's.
 pub(crate) fn assemble_rows(
     fitted: &[Arc<FittedScenario>],
     grid: &SweepGrid,
@@ -731,36 +565,22 @@ pub(crate) fn assemble_rows(
         .collect()
 }
 
-/// Calibrates and measures a suite through the sweep engine.
-///
-/// The standard entry point: a fresh per-call [`GridCache`] (each scenario
-/// calibrated and generated once, shared across its cells) and streaming
-/// aggregates. Results are byte-identical for every `jobs` value and to
-/// every other mode/cache combination of [`run_suite_cached`].
-pub fn run_suite_jobs(
-    label: &str,
-    specs: &[ScenarioSpec],
-    baseline_buffers: usize,
-    dvsync_buffers: &[usize],
-    jobs: usize,
-) -> SuiteResult {
-    let cache = GridCache::for_suite(specs, baseline_buffers);
-    run_suite_cached(
-        label,
-        specs,
-        baseline_buffers,
-        dvsync_buffers,
-        jobs,
-        SweepMode::Aggregate,
-        Some(&cache),
-    )
-    .result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_suite_resilient, ResilienceConfig, ResilientSweep};
     use dvs_workload::CostProfile;
+
+    fn suite(
+        specs: &[ScenarioSpec],
+        ladder: &[usize],
+        jobs: usize,
+        cache: Option<&GridCache>,
+    ) -> ResilientSweep {
+        let cfg = ResilienceConfig::default();
+        run_suite_resilient("t", specs, 3, ladder, jobs, SweepMode::Aggregate, cache, &cfg)
+            .expect("a sweep without checkpoints or injected faults completes")
+    }
 
     #[test]
     fn engine_output_is_index_ordered() {
@@ -824,11 +644,8 @@ mod tests {
             ScenarioSpec::new("sweep b", 60, 600, CostProfile::scattered(1.5)).with_paper_fdps(1.0),
             ScenarioSpec::new("sweep c", 90, 450, CostProfile::clustered(1.0)).with_paper_fdps(3.0),
         ];
-        let seq = run_suite_jobs("t", &specs, 3, &[4, 5], 1);
-        let par = run_suite_jobs("t", &specs, 3, &[4, 5], 4);
-        let a = serde_json::to_string(&seq).unwrap();
-        let b = serde_json::to_string(&par).unwrap();
-        assert_eq!(a, b, "parallel sweep must be byte-identical to sequential");
+        let run = |jobs| suite(&specs, &[4, 5], jobs, None).report.to_json();
+        assert_eq!(run(1), run(4), "parallel sweep must be byte-identical to sequential");
     }
 
     #[test]
@@ -849,43 +666,19 @@ mod tests {
     }
 
     #[test]
-    fn all_mode_and_cache_combinations_are_byte_identical() {
-        let specs = vec![
-            ScenarioSpec::new("combo a", 60, 360, CostProfile::scattered(1.0)).with_paper_fdps(2.0),
-            ScenarioSpec::new("combo b", 120, 360, CostProfile::clustered(1.0))
-                .with_paper_fdps(4.0),
-        ];
-        let reference = serde_json::to_string(
-            &run_suite_cached("t", &specs, 3, &[4, 5], 1, SweepMode::FullRecords, None).result,
-        )
-        .unwrap();
-        for mode in [SweepMode::FullRecords, SweepMode::Aggregate] {
-            for cached in [false, true] {
-                let cache = cached.then(|| GridCache::for_suite(&specs, 3));
-                let got = run_suite_cached("t", &specs, 3, &[4, 5], 2, mode, cache.as_ref()).result;
-                assert_eq!(
-                    serde_json::to_string(&got).unwrap(),
-                    reference,
-                    "mode {mode:?}, cache {cached} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cache_stats_surface_in_sweep_output() {
         let specs =
             vec![ScenarioSpec::new("stats", 60, 300, CostProfile::scattered(1.0))
                 .with_paper_fdps(1.0)];
         let cache = GridCache::for_suite(&specs, 3);
-        let first = run_suite_cached("t", &specs, 3, &[4], 1, SweepMode::Aggregate, Some(&cache));
+        let first = suite(&specs, &[4], 1, Some(&cache));
         assert_eq!(first.stats, SweepStats { cache_hits: 0, cache_misses: 1, cache_loads: 0 });
-        let second = run_suite_cached("t", &specs, 3, &[4], 1, SweepMode::Aggregate, Some(&cache));
+        let second = suite(&specs, &[4], 1, Some(&cache));
         assert_eq!(second.stats, SweepStats { cache_hits: 1, cache_misses: 1, cache_loads: 0 });
         assert!(second.render().contains("trace cache: 1 hits, 1 misses"));
         assert_eq!(
-            serde_json::to_string(&first.result).unwrap(),
-            serde_json::to_string(&second.result).unwrap(),
+            first.report.to_json(),
+            second.report.to_json(),
             "a warm cache must not change results"
         );
     }

@@ -9,10 +9,19 @@
 
 use dvs_bench::compose::{self, ComposeSweep};
 use dvs_bench::golden::{check_against, golden_dir, regen_requested, write_golden, Tolerance};
+use dvs_bench::{run_compose_resilient, ResilienceConfig};
+
+/// The interference sweep through the compose runner, with no quarantine.
+fn sweep(jobs: usize) -> ComposeSweep {
+    let out = run_compose_resilient(jobs, &ResilienceConfig::default())
+        .expect("a compose sweep without checkpoints completes");
+    assert!(!out.degraded(), "{}", out.quarantine.render());
+    out.sweep
+}
 
 #[test]
 fn interference_matrix_matches_golden() {
-    let actual = compose::run(dvs_bench::sweep::default_jobs());
+    let actual = sweep(dvs_bench::sweep::default_jobs());
     check_against(&golden_dir().join("compositor.json"), &actual, |a, g| {
         compose::compare(a, g, Tolerance::default())
     })
@@ -25,7 +34,7 @@ fn interference_matrix_matches_golden() {
 fn regen_roundtrip_leaves_passing_golden() {
     let dir = std::env::temp_dir().join("dvsync_golden_regen");
     let path = dir.join("compositor_roundtrip.json");
-    let actual = compose::run(1);
+    let actual = sweep(1);
     write_golden(&path, &actual).unwrap();
     check_against(&path, &actual, |a, g| compose::compare(a, g, Tolerance::default())).unwrap();
     let _ = std::fs::remove_file(&path);

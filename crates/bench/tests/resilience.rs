@@ -138,6 +138,18 @@ fn exit_code_one_on_hard_errors() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--mode"));
 
+    // An unknown argument after the subcommand is named, never ignored.
+    for (args, unknown) in [
+        (&["compose", "--bogus"][..], "`--bogus`"),
+        (&["fleet", "--tiny", "--bogus"][..], "`--bogus`"),
+        (&["bench", "sweep"][..], "`sweep`"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(unknown), "{args:?}: {stderr}");
+    }
+
     let dir = temp_dir("exit1");
     let ck = dir.join("ck");
     let _ = std::fs::remove_file(&ck);

@@ -12,7 +12,8 @@
 //!   containers in the simulation crates (`DVS-D001`–`DVS-D003`).
 //! * **Hot-path allocation** — allocating calls inside modules declared
 //!   hot by the checked-in `lint.toml` manifest (`DVS-H001`), the static
-//!   mirror of the `alloc_track` runtime byte gate.
+//!   mirror of the per-cell byte ceiling in
+//!   `crates/bench/tests/fleet_allocs.rs`.
 //! * **Panic hygiene** — `unwrap`/`expect`/`panic!` and (in index-strict
 //!   modules) slice indexing where `DvsError` paths exist
 //!   (`DVS-P001`/`DVS-P002`).

@@ -251,9 +251,9 @@ fn fault_sweeps_are_jobs_invariant() {
 
 /// Chaos for the resilient executor: kill the sweep at seeded-random cell
 /// boundaries, resume from the checkpoint, and require the final report to
-/// be byte-identical to the uninterrupted run — in both sweep modes and
-/// across `--jobs {1,4}` on the resumed leg. This is the acceptance
-/// criterion of docs/resilience.md exercised as a randomized matrix.
+/// be byte-identical to the uninterrupted run — across `--jobs {1,4}` on
+/// the resumed leg. This is the acceptance criterion of docs/resilience.md
+/// exercised as a randomized matrix.
 #[test]
 fn killed_sweeps_resume_byte_identically() {
     use dvs_bench::{
@@ -265,76 +265,46 @@ fn killed_sweeps_resume_byte_identically() {
     let dir = std::env::temp_dir().join("dvsync_chaos_resume");
     let _ = std::fs::create_dir_all(&dir);
     let mut rng = SimRng::seed_from(0xC4A0_5EED);
+    let run = |jobs: usize, cfg: &ResilienceConfig| {
+        run_suite_resilient("chaos", &specs, 3, &ladder, jobs, SweepMode::Aggregate, None, cfg)
+    };
 
-    for mode in [SweepMode::Aggregate, SweepMode::FullRecords] {
-        let clean = run_suite_resilient(
-            "chaos",
-            &specs,
-            3,
-            &ladder,
-            1,
-            mode,
-            None,
-            &ResilienceConfig::default(),
-        )
-        .expect("uninterrupted run succeeds")
-        .report
-        .to_json();
+    let clean = run(1, &ResilienceConfig::default()).expect("uninterrupted run succeeds");
+    let clean = clean.report.to_json();
+    for trial in 0..8u64 {
+        // 6 cells in the tiny grid; kill after 1..=5 completions so the
+        // resumed leg always has both restored and fresh work to do.
+        let crash_at = 1 + rng.next_below(5) as usize;
+        let jobs = [1usize, 4][rng.next_below(2) as usize];
+        let path = dir.join(format!("ck_{trial}"));
+        let _ = std::fs::remove_file(&path);
+        let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
+            checkpoint: Some(CheckpointConfig {
+                path: path.to_string_lossy().into_owned(),
+                cadence: 1,
+                resume,
+            }),
+            faults,
+            ..ResilienceConfig::default()
+        };
 
-        for trial in 0..4u64 {
-            // 6 cells in the tiny grid; kill after 1..=5 completions so the
-            // resumed leg always has both restored and fresh work to do.
-            let crash_at = 1 + rng.next_below(5) as usize;
-            let jobs = [1usize, 4][rng.next_below(2) as usize];
-            let path = dir.join(format!("ck_{mode:?}_{trial}"));
-            let _ = std::fs::remove_file(&path);
-            let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
-                checkpoint: Some(CheckpointConfig {
-                    path: path.to_string_lossy().into_owned(),
-                    cadence: 1,
-                    resume,
-                }),
-                faults,
-                ..ResilienceConfig::default()
-            };
-
-            let killed = run_suite_resilient(
-                "chaos",
-                &specs,
-                3,
-                &ladder,
-                jobs,
-                mode,
-                None,
-                &ck(false, ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() }),
-            );
-            match killed {
-                Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
-                    assert_eq!(completed, crash_at);
-                    assert_eq!(total, 6);
-                }
-                other => panic!("expected an interrupted sweep, got {other:?}"),
+        let crash = ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() };
+        match run(jobs, &ck(false, crash)) {
+            Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
+                assert_eq!(completed, crash_at);
+                assert_eq!(total, 6);
             }
-
-            let resumed = run_suite_resilient(
-                "chaos",
-                &specs,
-                3,
-                &ladder,
-                jobs,
-                mode,
-                None,
-                &ck(true, ExecFaults::default()),
-            )
-            .expect("resumed run completes");
-            assert_eq!(resumed.accounting.cells_resumed, crash_at, "checkpoint under-captured");
-            assert_eq!(
-                resumed.report.to_json(),
-                clean,
-                "resume diverged (mode {mode:?}, killed at {crash_at}, jobs {jobs})"
-            );
-            let _ = std::fs::remove_file(&path);
+            other => panic!("expected an interrupted sweep, got {other:?}"),
         }
+
+        let resumed = run(jobs, &ck(true, ExecFaults::default())).expect("resumed run completes");
+        assert_eq!(resumed.accounting.cells_resumed, crash_at, "checkpoint under-captured");
+        assert_eq!(
+            resumed.report.to_json(),
+            clean,
+            "resume diverged (killed at {crash_at}, jobs {jobs})"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 }
 

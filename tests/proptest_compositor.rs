@@ -167,13 +167,13 @@ proptest! {
 /// The interference sweep is byte-identical for every worker count.
 #[test]
 fn compose_sweep_is_jobs_invariant() {
-    let seq = dvs_bench::compose::run(1);
-    let par = dvs_bench::compose::run(4);
-    assert_eq!(
-        serde_json::to_string(&seq).unwrap(),
-        serde_json::to_string(&par).unwrap(),
-        "compose sweep must not depend on --jobs"
-    );
+    let run = |jobs| {
+        let out = dvs_bench::run_compose_resilient(jobs, &dvs_bench::ResilienceConfig::default())
+            .expect("a compose sweep without checkpoints completes");
+        assert!(!out.degraded(), "{}", out.quarantine.render());
+        serde_json::to_string(&out.sweep).unwrap()
+    };
+    assert_eq!(run(1), run(4), "compose sweep must not depend on --jobs");
 }
 
 /// Pinned shrunk case: two single-frame surfaces, both D-VSync, budget 1.

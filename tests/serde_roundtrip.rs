@@ -84,11 +84,10 @@ fn sweep_grid_round_trips() {
 
 #[test]
 fn suite_result_round_trips() {
-    use dvs_bench::sweep::run_suite_jobs;
-    use dvs_bench::SuiteResult;
+    use dvs_bench::{run_suite, SuiteResult};
     let specs =
         vec![ScenarioSpec::new("rt a", 60, 300, CostProfile::scattered(1.0)).with_paper_fdps(2.0)];
-    let result = run_suite_jobs("roundtrip", &specs, 3, &[4, 5], 2);
+    let result = run_suite("roundtrip", &specs, 3, &[4, 5]);
     let json = serde_json::to_string(&result).unwrap();
     let back: SuiteResult = serde_json::from_str(&json).unwrap();
     // Byte-stable re-serialization — the property the determinism tests and
@@ -100,11 +99,11 @@ fn suite_result_round_trips() {
 #[test]
 fn golden_file_schema_round_trips() {
     use dvs_bench::golden::{compare_suite, GoldenSuite, Tolerance};
-    use dvs_bench::sweep::run_suite_jobs;
+    use dvs_bench::run_suite;
     let specs =
         vec![ScenarioSpec::new("golden rt", 60, 300, CostProfile::scattered(1.5))
             .with_paper_fdps(1.5)];
-    let summary = GoldenSuite::from(&run_suite_jobs("golden", &specs, 3, &[4], 1));
+    let summary = GoldenSuite::from(&run_suite("golden", &specs, 3, &[4]));
     let back: GoldenSuite =
         serde_json::from_str(&serde_json::to_string_pretty(&summary).unwrap()).unwrap();
     assert!(compare_suite(&summary, &back, Tolerance::default()).is_empty());

@@ -5,9 +5,10 @@
 //! directories feeding the sweep and cache paths must likewise change
 //! nothing but the cache counters.
 
-use dvs_bench::sweep::{run_suite_cached, GridCache, SweepMode};
 use dvs_bench::tracetool::{ingest, record_suite, IngestOptions};
-use dvs_bench::{resilient, suite75};
+use dvs_bench::{
+    resilient, run_suite_resilient, suite75, GridCache, ResilienceConfig, ResilientSweep, SweepMode,
+};
 use dvs_core::{DvsyncConfig, DvsyncPacer, WatchdogConfig};
 use dvs_pipeline::{FramePacer, PipelineConfig, Simulator, VsyncPacer};
 use dvs_workload::{FrameTrace, TraceCache};
@@ -77,32 +78,28 @@ fn sweep_with_trace_dir_matches_clean_sweep_byte_for_byte() {
     // Record the *fitted* traces — the form the sweep replays.
     record_suite(&specs, &dir, true, baseline_buffers).expect("recording succeeds");
 
-    let clean_cache = GridCache::for_suite(&specs, baseline_buffers);
-    let clean = run_suite_cached(
-        "clean",
-        &specs,
-        baseline_buffers,
-        &ladder,
-        1,
-        SweepMode::Aggregate,
-        Some(&clean_cache),
-    );
-
-    let recorded_cache = GridCache::with_trace_dir(&specs, baseline_buffers, &dir);
-    let recorded = run_suite_cached(
-        "clean",
-        &specs,
-        baseline_buffers,
-        &ladder,
-        1,
-        SweepMode::Aggregate,
-        Some(&recorded_cache),
-    );
+    let run = |cache: &GridCache| -> ResilientSweep {
+        let cfg = ResilienceConfig::default();
+        let (mode, jobs) = (SweepMode::Aggregate, 1);
+        run_suite_resilient(
+            "clean",
+            &specs,
+            baseline_buffers,
+            &ladder,
+            jobs,
+            mode,
+            Some(cache),
+            &cfg,
+        )
+        .expect("a sweep without checkpoints completes")
+    };
+    let clean = run(&GridCache::for_suite(&specs, baseline_buffers));
+    let recorded = run(&GridCache::with_trace_dir(&specs, baseline_buffers, &dir));
 
     // Identical measurements; only the cache-traffic counters may differ.
     assert_eq!(
-        serde_json::to_string(&clean.result).unwrap(),
-        serde_json::to_string(&recorded.result).unwrap(),
+        clean.report.to_json(),
+        recorded.report.to_json(),
         "recorded sweep diverged from clean sweep"
     );
     assert_eq!(clean.stats.cache_loads, 0, "clean sweep must not read recordings");
