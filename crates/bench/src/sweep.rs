@@ -29,13 +29,14 @@
 //! Two mechanisms make large grids cheap without changing a single output
 //! byte:
 //!
-//! * a [`GridCache`] calibrates each scenario and generates its trace
-//!   **exactly once per cache** (shared via `Arc`, write-once slots keyed by
-//!   `(spec_index, seed)`), instead of once per suite call and once per
-//!   cell;
-//! * every worker owns one [`RunArena`], and each cell streams its frames
-//!   through the arena's pooled scratch report into online statistics
-//!   ([`RunAggregate`]), so cells never hand back per-frame record vectors.
+//! * a [`GridCache`] calibrates each scenario **exactly once per cache**
+//!   (shared via `Arc`, write-once slots keyed by `(spec_index, seed)`),
+//!   instead of once per suite call and once per cell, and keeps what
+//!   calibration hands over: the fitted trace, sliced into segments, and
+//!   the baseline cell's metrics, which are its best measurement;
+//! * every worker owns one [`RunArena`], and each cell runs into the
+//!   arena's pooled scratch report and reduces it in place to FDPS and mean
+//!   latency, so cells never hand back per-frame record vectors.
 //!
 //! The suite runner that drives these passes is
 //! [`run_suite_resilient`](crate::run_suite_resilient).
@@ -46,7 +47,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
-use dvs_metrics::RunAggregate;
 use dvs_pipeline::{
     calibrate_spec_pooled, run_segments_into, FramePacer, RunArena, SimCore, VsyncPacer,
 };
@@ -297,12 +297,16 @@ pub struct FittedScenario {
     ///
     /// Every call of a ladder re-measures the *identical* baseline
     /// configuration — same trace, same pacer, same buffer count — so the
-    /// result is memoized alongside the calibration.
+    /// result is memoized alongside the calibration. A calibrated entry
+    /// starts with it set: calibration's best measurement is that very run
+    /// (its FDPS and mean latency, bit for bit), so the cell never runs.
+    /// An entry decoded from a recording measures it on first use.
     baseline: OnceLock<CellMetrics>,
 }
 
 impl FittedScenario {
-    /// The baseline cell's metrics, computed through `arena` on first use.
+    /// The baseline cell's metrics: handed over by calibration, or computed
+    /// through `arena` on first use.
     pub(crate) fn baseline_metrics(&self, cell: &SweepCell, arena: &mut RunArena) -> CellMetrics {
         *self.baseline.get_or_init(|| run_cell(cell, &self.spec, &self.segments, arena))
     }
@@ -424,14 +428,17 @@ impl GridCache {
                     baseline: OnceLock::new(),
                 });
             }
-            let fitted = calibrate_spec_pooled(spec, self.baseline_buffers, arena).spec;
-            let trace = fitted.generate();
-            let segments = fitted.segments_of(&trace);
+            // Calibration hands over the fitted trace and its best
+            // measurement, which is the baseline cell's run.
+            let out = calibrate_spec_pooled(spec, self.baseline_buffers, arena);
+            let segments = out.spec.segments_of(&out.trace);
+            let baseline =
+                CellMetrics { fdps: out.measured_fdps, latency_ms: out.measured_latency_ms };
             Arc::new(FittedScenario {
                 seed: spec.seed,
-                spec: fitted,
+                spec: out.spec,
                 segments,
-                baseline: OnceLock::new(),
+                baseline: OnceLock::from(baseline),
             })
         });
         assert_eq!(
@@ -485,12 +492,10 @@ impl GridCache {
 /// other mode was removed still resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
-    /// Each cell runs through the worker's pooled arena and streams its
-    /// frames into online statistics ([`RunAggregate`]); only fixed-size
-    /// aggregates leave the cell. The values are bit-identical to the same
-    /// run's full [`RunReport`](dvs_metrics::RunReport) (the aggregate
-    /// applies the exact same float operations), which the determinism
-    /// wall pins.
+    /// Each cell runs through the worker's pooled arena into its scratch
+    /// [`RunReport`](dvs_metrics::RunReport), which is reduced in place to
+    /// the row's FDPS and mean latency; only those two scalars leave the
+    /// cell. The determinism wall pins them to fresh full-report runs.
     Aggregate,
 }
 
@@ -507,7 +512,7 @@ pub(crate) struct CellMetrics {
 }
 
 /// Executes one cell: runs its segments with the cell's pacer through the
-/// worker's arena and reduces the frames to the row's two scalars.
+/// worker's arena and reduces the pooled report to the row's two scalars.
 pub(crate) fn run_cell(
     cell: &SweepCell,
     spec: &ScenarioSpec,
@@ -533,8 +538,7 @@ pub(crate) fn run_cell(
             arena,
             out,
         );
-        let agg = RunAggregate::from_report(out);
-        CellMetrics { fdps: agg.fdps(), latency_ms: agg.mean_latency_ms() }
+        CellMetrics { fdps: out.fdps(), latency_ms: out.mean_latency_ms() }
     })
 }
 
@@ -663,6 +667,13 @@ mod tests {
         let fresh = dvs_pipeline::calibrate_spec(&specs[0], 3).spec;
         assert_eq!(a.spec.cost.long_rate_per_sec, fresh.cost.long_rate_per_sec);
         assert_eq!(a.segments, fresh.generate_segments());
+        // Calibration handed over the baseline cell: it is set before any
+        // cell runs, and equals running that cell.
+        let cell = SweepGrid::for_suite(&specs, 3, &[]).cells[0];
+        let handed = *a.baseline.get().expect("a calibrated entry carries its baseline");
+        let run = run_cell(&cell, &a.spec, &a.segments, &mut arena);
+        assert_eq!(handed.fdps.to_bits(), run.fdps.to_bits());
+        assert_eq!(handed.latency_ms.to_bits(), run.latency_ms.to_bits());
     }
 
     #[test]

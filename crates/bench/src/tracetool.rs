@@ -42,8 +42,9 @@ fn ensure_dir(dir: &Path) -> DvsResult<()> {
 
 /// Records one binary trace per spec under `dir` ([`TraceCache::trace_path`]
 /// names). With `fitted`, each spec is first calibrated at
-/// `baseline_buffers` — the form the sweep path replays; raw recordings
-/// serve [`TraceCache`] consumers (fault matrix, custom runs).
+/// `baseline_buffers` and the trace calibration hands over is written —
+/// the form the sweep path replays; raw recordings serve [`TraceCache`]
+/// consumers (fault matrix, custom runs).
 pub fn record_suite(
     specs: &[ScenarioSpec],
     dir: &Path,
@@ -56,7 +57,7 @@ pub fn record_suite(
     let mut frames = 0u64;
     for spec in specs {
         let trace = if fitted {
-            calibrate_spec_pooled(spec, baseline_buffers, &mut arena).spec.generate()
+            calibrate_spec_pooled(spec, baseline_buffers, &mut arena).trace
         } else {
             spec.generate()
         };

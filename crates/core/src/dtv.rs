@@ -108,7 +108,7 @@ impl Dtv {
         // dvs-lint: allow(panic, reason = "documented panicking accessor; callers observe a VSync before estimating")
         let (a_tick, a_time) = self.anchor.expect("DTV needs at least one observed VSync");
         let delta = (tick as i64 - a_tick as i64) as f64 * self.period_est_ns;
-        let ns = a_time.as_nanos() as i64 + delta.round() as i64;
+        let ns = a_time.as_nanos() as i64 + dvs_sim::round_i64(delta);
         SimTime::from_nanos(ns.max(0) as u64)
     }
 

@@ -21,4 +21,4 @@ mod vsync;
 pub use ltpo::{LtpoController, RatePolicy, SwitchState};
 pub use panel::{Panel, PanelOutcome};
 pub use rate::RefreshRate;
-pub use vsync::{PulseEvent, VsyncTimeline, VsyncTimelineBuilder};
+pub use vsync::{PulseEvent, TickCursor, TickInterval, VsyncTimeline, VsyncTimelineBuilder};

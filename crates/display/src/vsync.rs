@@ -117,6 +117,91 @@ impl PulseEvent {
     }
 }
 
+/// The refresh interval holding an instant, as
+/// [`VsyncTimeline::interval_at`] answers it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TickInterval {
+    /// The last tick at or before the instant, and its time.
+    pub last: (u64, SimTime),
+    /// The first tick strictly after the instant, and its time.
+    pub next: (u64, SimTime),
+    /// The period governing the interval from `last` (`period_at(last)`).
+    pub period: SimDuration,
+}
+
+/// A memo of the refresh interval last asked for.
+///
+/// An event loop asks for the current interval many times per refresh (each
+/// pacer decision, each render-stage dispatch), yet the answer changes only
+/// when time crosses a tick. The cursor keeps the last answer and returns
+/// it while the instant stays inside `[last, next)`. When the instant moves
+/// on into the following refresh past the last rate switch, the cursor
+/// steps one period forward; otherwise it asks the timeline again. It
+/// caches only on jitter-free timelines, whose tick grid is plain
+/// arithmetic; on a jittered one it asks the timeline on every query.
+///
+/// A cursor serves one timeline whose rate switches are all committed:
+/// switching the rate afterwards can leave a stale interval behind.
+///
+/// # Examples
+///
+/// ```
+/// use dvs_display::{RefreshRate, TickCursor, VsyncTimeline};
+/// use dvs_sim::SimTime;
+///
+/// let tl = VsyncTimeline::new(RefreshRate::HZ_60);
+/// let mut cursor = TickCursor::new();
+/// let at = SimTime::from_millis(20);
+/// assert_eq!(cursor.at(&tl, at), tl.interval_at(at));
+/// assert_eq!(cursor.at(&tl, at).next, tl.next_tick_after(at));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct TickCursor {
+    interval: TickInterval,
+}
+
+impl TickCursor {
+    /// A cursor holding no interval: the first query asks the timeline.
+    pub const fn new() -> Self {
+        TickCursor {
+            interval: TickInterval {
+                last: (0, SimTime::ZERO),
+                next: (0, SimTime::ZERO),
+                period: SimDuration::ZERO,
+            },
+        }
+    }
+
+    /// The interval holding `now` on `timeline`:
+    /// [`VsyncTimeline::interval_at`], memoized.
+    #[inline]
+    pub fn at(&mut self, timeline: &VsyncTimeline, now: SimTime) -> TickInterval {
+        let held = self.interval;
+        if held.last.1 <= now && now < held.next.1 {
+            return held;
+        }
+        if !timeline.jitter.is_zero() {
+            return timeline.interval_at(now);
+        }
+        let last = timeline.last_segment();
+        let step = held.next.1 + last.period;
+        self.interval = if held.next.0 > last.first_tick && held.next.1 <= now && now < step {
+            // The interval after the held one, past the last rate switch:
+            // one period long, found without a division.
+            TickInterval { last: held.next, next: (held.next.0 + 1, step), period: last.period }
+        } else {
+            timeline.interval_at(now)
+        };
+        self.interval
+    }
+}
+
+impl Default for TickCursor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// The schedule of hardware VSync ticks, possibly spanning rate changes.
 ///
 /// # Examples
@@ -159,6 +244,12 @@ impl VsyncTimeline {
             jitter: SimDuration::ZERO,
             jitter_seed: 0,
         }
+    }
+
+    /// The segment governing every tick from the last rate switch on.
+    fn last_segment(&self) -> &Segment {
+        // dvs-lint: allow(panic, reason = "segments is seeded with one segment at construction and never drained")
+        self.segments.last().expect("at least one segment")
     }
 
     fn segment_for(&self, tick: u64) -> &Segment {
@@ -210,15 +301,10 @@ impl VsyncTimeline {
 
     /// The first tick whose (jittered) time is strictly after `t`.
     pub fn next_tick_after(&self, t: SimTime) -> (u64, SimTime) {
-        // dvs-lint: allow(panic, reason = "segments is seeded with one segment at construction and never drained")
-        let last = self.segments.last().expect("at least one segment");
-        if self.jitter.is_zero() && t >= last.start {
-            // Closed form: past the last rate switch a jitter-free grid is
-            // exact arithmetic. The grid is continuous across segments, so
-            // this is the tick the walk below would settle on.
-            let k = last.first_tick + t.saturating_since(last.start).div_duration(last.period) + 1;
-            return (k, last.start + last.period * (k - last.first_tick));
+        if let Some((k, at, _)) = self.closed_form_next(t) {
+            return (k, at);
         }
+        let last = self.last_segment();
         // Estimate from ideal arithmetic, then fix up across the jitter band.
         let mut k = if t < last.start {
             // Scan earlier segments (rare: there are only a handful).
@@ -236,6 +322,36 @@ impl VsyncTimeline {
             k += 1;
         }
         (k, self.tick_time(k))
+    }
+
+    /// Closed form of [`VsyncTimeline::next_tick_after`]: past the last
+    /// rate switch a jitter-free grid is exact arithmetic, so the answer
+    /// `(k, tick_time(k))` comes with the period of tick `k - 1`. The grid
+    /// is continuous across segments, so this is the tick the walk would
+    /// settle on. `None` where the walk is needed.
+    fn closed_form_next(&self, t: SimTime) -> Option<(u64, SimTime, SimDuration)> {
+        let last = self.last_segment();
+        if !self.jitter.is_zero() || t < last.start {
+            return None;
+        }
+        let k = last.first_tick + t.saturating_since(last.start).div_duration(last.period) + 1;
+        Some((k, last.start + last.period * (k - last.first_tick), last.period))
+    }
+
+    /// The refresh interval holding `t`: the first tick strictly after `t`
+    /// ([`VsyncTimeline::next_tick_after`]), the tick before it, and the
+    /// period governing the interval between them.
+    ///
+    /// For `t` before tick 0 the `last` tick is tick 0 itself, which lies
+    /// after `t`.
+    pub fn interval_at(&self, t: SimTime) -> TickInterval {
+        if let Some((k, at, period)) = self.closed_form_next(t) {
+            // k - 1 is at or past the last segment's first tick.
+            return TickInterval { last: (k - 1, at - period), next: (k, at), period };
+        }
+        let next = self.next_tick_after(t);
+        let last = next.0.saturating_sub(1);
+        TickInterval { last: (last, self.tick_time(last)), next, period: self.period_at(last) }
     }
 
     /// The pulse at tick `tick` as a schedulable event.
@@ -267,8 +383,7 @@ impl VsyncTimeline {
         tick: u64,
         rate: RefreshRate,
     ) -> Result<(), DvsError> {
-        // dvs-lint: allow(panic, reason = "segments is seeded with one segment at construction and never drained")
-        let last_first = self.segments.last().expect("non-empty").first_tick;
+        let last_first = self.last_segment().first_tick;
         if tick <= last_first {
             return Err(DvsError::RateSwitchInPast { tick, segment_start: last_first });
         }

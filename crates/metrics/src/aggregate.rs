@@ -1,19 +1,20 @@
 //! Streaming aggregate metrics for grid-scale sweeps.
 //!
-//! A suite-grid cell only needs scalar aggregates (FDPS, mean latency, frame
-//! distribution, stutter counts) to fill a `SuiteRow`, yet a full
+//! A fault-matrix cell only needs scalar aggregates (frame distribution,
+//! janks, fault and watchdog tallies, latency) to fill its row, yet a full
 //! [`RunReport`] carries every frame record. [`RunAggregate`] is the
 //! online-statistics sink for that case: it folds a record stream into
 //! fixed-size accumulators — count/mean/min/max ([`StreamingStats`]), a
 //! quantile-grid CDF ([`QuantileGrid`]), per-kind frame counts, and
-//! jank/stutter/FPS tallies — so a sweep that selects aggregate mode keeps
-//! per-cell memory bounded no matter how large the grid grows.
+//! jank/stutter/FPS tallies — so per-cell memory stays bounded no matter
+//! how large the grid grows. (A suite-sweep cell needs only FDPS and mean
+//! latency, which it reads off its pooled report directly.)
 //!
 //! Every derived metric uses the *same arithmetic, in the same order*, as the
 //! corresponding [`RunReport`] method (e.g. the mean accumulates latencies in
 //! record order and divides once, exactly like
-//! [`RunReport::mean_latency_ms`]), so aggregate-mode rows are bit-identical
-//! to full-record-mode rows — a property the sweep test suite pins.
+//! [`RunReport::mean_latency_ms`]), so aggregate rows are bit-identical to
+//! full-report rows — a property the fault matrix's unit tests pin.
 
 use serde::{Deserialize, Serialize};
 

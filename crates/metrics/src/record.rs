@@ -324,6 +324,10 @@ impl RunReport {
     /// keeps the merged tick sequence globally monotone — in particular,
     /// jank runs never merge across a segment boundary. Timestamps remain
     /// segment-relative.
+    ///
+    /// Both reports must keep their records and janks in tick order
+    /// (`present_tick` and `tick` non-decreasing), as simulator reports do:
+    /// the re-base offset is read from the last record and the last jank.
     pub fn absorb(&mut self, mut other: RunReport) {
         self.absorb_from(&mut other);
     }
@@ -334,17 +338,20 @@ impl RunReport {
     /// Pooled segmented runs lean on this: the per-segment report is drained
     /// into the combined report and then `reset` for the next segment, so
     /// one segment-sized allocation serves the whole run. The merge itself
-    /// is byte-identical to `absorb`. `other`'s scalar fields are left
-    /// untouched; a subsequent [`RunReport::reset`] clears them.
+    /// is byte-identical to `absorb`, under the same tick-order
+    /// precondition, which debug builds check. `other`'s scalar fields are
+    /// left untouched; a subsequent [`RunReport::reset`] clears them.
     pub fn absorb_from(&mut self, other: &mut RunReport) {
+        debug_assert!(
+            [&*self, &*other].iter().all(|r| r.in_tick_order()),
+            "absorb needs records and janks in tick order"
+        );
         let offset = self
             .records
-            .iter()
+            .last()
             .map(|r| r.present_tick)
-            .chain(self.janks.iter().map(|j| j.tick))
-            .max()
-            .map(|last| last + 2)
-            .unwrap_or(0);
+            .max(self.janks.last().map(|j| j.tick))
+            .map_or(0, |last| last + 2);
         self.records.extend(other.records.drain(..).map(|mut r| {
             r.present_tick += offset;
             r.eligible_tick += offset;
@@ -363,6 +370,12 @@ impl RunReport {
         self.ticks_active += other.ticks_active;
         self.max_queued = self.max_queued.max(other.max_queued);
         self.truncated |= other.truncated;
+    }
+
+    /// Whether records and janks are in tick order, the precondition of
+    /// [`RunReport::absorb`].
+    fn in_tick_order(&self) -> bool {
+        self.records.is_sorted_by_key(|r| r.present_tick) && self.janks.is_sorted_by_key(|j| j.tick)
     }
 }
 
@@ -452,6 +465,55 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.janks.len(), 2);
         assert!((a.fdps() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn absorb_offset_matches_a_rescan_over_many_segments() {
+        // The reference: rescan every record and jank merged so far, and
+        // re-base one past the highest tick, plus the idle gap.
+        fn rescan_offset(r: &RunReport) -> u64 {
+            r.records
+                .iter()
+                .map(|r| r.present_tick)
+                .chain(r.janks.iter().map(|j| j.tick))
+                .max()
+                .map_or(0, |last| last + 2)
+        }
+        let mut rng = dvs_sim::SimRng::seed_from(0x00AB_502B);
+        for case in 0..300 {
+            let mut merged = RunReport::new("merged", 60);
+            for segment in 0..rng.next_below(16) {
+                // A segment in tick order: each refresh presents a frame,
+                // janks, or neither (either vector may end up empty).
+                let mut seg = RunReport::new("seg", 60);
+                let mode = rng.next_below(4);
+                for tick in 0..rng.next_below(50) {
+                    let draw = rng.next_below(3);
+                    if mode != 1 && draw == 0 {
+                        let mut r = record(FrameKind::Direct, tick, tick + 33);
+                        r.present_tick = tick;
+                        r.eligible_tick = tick.saturating_sub(rng.next_below(3));
+                        seg.records.push(r);
+                    } else if mode != 2 && draw == 1 {
+                        seg.janks.push(JankEvent { tick, time: SimTime::from_millis(tick) });
+                    }
+                }
+                let donor = seg.clone();
+                let offset = rescan_offset(&merged);
+                let (records, janks) = (merged.records.len(), merged.janks.len());
+                merged.absorb_from(&mut seg);
+                let at = format!("case {case}, segment {segment}");
+                for (got, want) in merged.records[records..].iter().zip(&donor.records) {
+                    assert_eq!(got.present_tick, want.present_tick + offset, "{at}");
+                    assert_eq!(got.eligible_tick, want.eligible_tick + offset, "{at}");
+                }
+                for (got, want) in merged.janks[janks..].iter().zip(&donor.janks) {
+                    assert_eq!(got.tick, want.tick + offset, "{at}");
+                }
+                assert_eq!(merged.records.len(), records + donor.records.len(), "{at}");
+                assert_eq!(merged.janks.len(), janks + donor.janks.len(), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //! when that run is the whole trace. Every segment runs from fresh
 //! pipeline state and FDPS is an integer jank sum over an integer display
 //! sum, so the reused counts reproduce the full run's FDPS bit for bit.
+//!
+//! The search hands over what its best measurement already built: the
+//! fitted trace and the baseline run's mean latency. The memo also keeps,
+//! per segment, the running latency sum and record count through that
+//! segment. Reused segments always form a leading run, so a new rate
+//! resumes the fold from its source's running sum and adds only the
+//! segments it re-simulates — the same additions, in the same order, as
+//! [`RunReport::mean_latency_ms`](dvs_metrics::RunReport::mean_latency_ms)
+//! over the merged report. A caller such as the sweep's grid cache thus
+//! gets the baseline cell without running it again.
 
 use std::ops::Range;
 
@@ -30,13 +40,21 @@ use crate::core::RunArena;
 use crate::pacer::VsyncPacer;
 use crate::simulator::Simulator;
 
-/// The result of calibrating one scenario.
+/// The result of calibrating one scenario: the fitted spec plus the trace
+/// and baseline measurement the search already made for it.
 #[derive(Clone, Debug)]
 pub struct CalibrationOutcome {
     /// The spec with `cost.long_rate_per_sec` replaced by the fitted value.
     pub spec: ScenarioSpec,
-    /// The baseline FDPS the fitted spec actually measures.
+    /// The fitted spec's trace: equal to `spec.generate()`.
+    pub trace: FrameTrace,
+    /// The baseline FDPS the fitted spec actually measures: bit for bit
+    /// the [`fdps`](dvs_metrics::RunReport::fdps) of a segmented VSync run
+    /// of `spec` at the calibration's buffer count.
     pub measured_fdps: f64,
+    /// That same run's [`mean_latency_ms`](dvs_metrics::RunReport::mean_latency_ms),
+    /// bit for bit.
+    pub measured_latency_ms: f64,
     /// Search steps used: the bracket's doublings plus the bisection steps
     /// (0 for a zero target).
     pub iterations: usize,
@@ -72,9 +90,11 @@ pub fn calibrate_spec(spec: &ScenarioSpec, buffers: usize) -> CalibrationOutcome
 /// report. Segments and whole traces that an earlier measurement of the
 /// same call already decided are reused instead of re-simulated (see the
 /// module docs); the memo lives only for this call. The fitted rate, the
-/// measured FDPS and `iterations` are bit-identical to measuring every rate
-/// in full, and to [`calibrate_spec`]: the search sequence is deterministic
-/// and the arena is scratch.
+/// measured FDPS and latency and `iterations` are bit-identical to
+/// measuring every rate in full, and to [`calibrate_spec`]: the search
+/// sequence is deterministic and the arena is scratch. The returned trace
+/// is the one the best measurement generated, regenerated only when a
+/// later measurement overwrote it.
 pub fn calibrate_spec_pooled(
     spec: &ScenarioSpec,
     buffers: usize,
@@ -83,19 +103,21 @@ pub fn calibrate_spec_pooled(
     let target = spec.paper_baseline_fdps;
     let mut memo = Memo::new(spec, buffers);
     if target <= 0.0 {
+        // A zero rate is never memoized, so its measurement always leaves
+        // its own frames in the pooled trace.
         let measured = memo.measure(0.0, arena);
-        return CalibrationOutcome { spec: memo.spec, measured_fdps: measured, iterations: 0 };
+        return memo.into_outcome(measured, 0);
     }
 
     // Bracket the target: grow `hi` until the measured FDPS exceeds it.
     let mut lo = 0.0f64;
     let mut hi = (target * 0.8).max(0.25);
     let mut iterations = 0usize;
-    let mut f_hi = memo.measure(hi, arena);
-    while f_hi < target && hi < spec.rate_hz as f64 {
+    let mut at_hi = memo.measure(hi, arena);
+    while at_hi.fdps < target && hi < spec.rate_hz as f64 {
         lo = hi;
         hi *= 2.0;
-        f_hi = memo.measure(hi, arena);
+        at_hi = memo.measure(hi, arena);
         iterations += 1;
         if iterations > 16 {
             break;
@@ -103,15 +125,14 @@ pub fn calibrate_spec_pooled(
     }
 
     // Bisect.
-    let mut best_rate = hi;
-    let mut best_fdps = f_hi;
+    let mut best = at_hi;
     for _ in 0..18 {
         iterations += 1;
         let mid = 0.5 * (lo + hi);
-        let f = memo.measure(mid, arena);
-        if (f - target).abs() < (best_fdps - target).abs() {
-            best_rate = mid;
-            best_fdps = f;
+        let measured = memo.measure(mid, arena);
+        let f = measured.fdps;
+        if (f - target).abs() < (best.fdps - target).abs() {
+            best = measured;
         }
         if (f - target).abs() / target < 0.03 {
             break;
@@ -122,10 +143,15 @@ pub fn calibrate_spec_pooled(
             hi = mid;
         }
     }
+    memo.into_outcome(best, iterations)
+}
 
-    let mut fitted = memo.spec;
-    fitted.cost.long_rate_per_sec = best_rate;
-    CalibrationOutcome { spec: fitted, measured_fdps: best_fdps, iterations }
+/// One measurement of the search.
+#[derive(Clone, Copy)]
+struct Measurement {
+    rate: f64,
+    fdps: f64,
+    latency_ms: f64,
 }
 
 /// One animation segment of a memoized measurement.
@@ -137,6 +163,11 @@ struct SegmentOutcome {
     missed: f64,
     janks: usize,
     display_time: SimDuration,
+    /// Latency sum (ms) over every record through this segment, added in
+    /// record order.
+    latency_sum: f64,
+    /// Records through this segment.
+    records: usize,
 }
 
 impl SegmentOutcome {
@@ -145,6 +176,8 @@ impl SegmentOutcome {
         missed: f64::INFINITY,
         janks: 0,
         display_time: SimDuration::ZERO,
+        latency_sum: 0.0,
+        records: 0,
     };
 
     /// Whether key-frame probability `p` decides every trial of this
@@ -161,13 +194,16 @@ struct Memo {
     spec: ScenarioSpec,
     cfg: PipelineConfig,
     segments: Vec<Range<usize>>,
-    /// FDPS of each memoized (positive-rate) measurement.
-    fdps: Vec<f64>,
+    /// Each memoized (positive-rate) measurement.
+    runs: Vec<Measurement>,
     /// `segments.len()` outcomes per memoized measurement, in order.
     outcomes: Vec<SegmentOutcome>,
     /// Pooled full trace and the one segment being simulated.
     trace: FrameTrace,
     segment: FrameTrace,
+    /// The memoized measurement whose frames `trace` holds (`None` after a
+    /// zero-rate measurement, which is never memoized).
+    traced: Option<usize>,
 }
 
 impl Memo {
@@ -176,33 +212,32 @@ impl Memo {
             spec: spec.clone(),
             cfg: PipelineConfig::new(spec.rate_hz, buffers),
             segments: spec.segment_ranges(spec.frames),
-            fdps: Vec::new(),
+            runs: Vec::new(),
             outcomes: Vec::new(),
             trace: FrameTrace::new(String::new(), spec.rate_hz),
             segment: FrameTrace::new(String::new(), spec.rate_hz),
+            traced: None,
         }
     }
 
-    /// The segmented VSync FDPS of the scenario at key-frame `rate`.
-    fn measure(&mut self, rate: f64, arena: &mut RunArena) -> f64 {
+    /// The segmented VSync FDPS and mean latency of the scenario at
+    /// key-frame `rate`.
+    fn measure(&mut self, rate: f64, arena: &mut RunArena) -> Measurement {
         self.spec.cost.long_rate_per_sec = rate;
         let n = self.segments.len();
         // A zero rate makes no trials, so it neither reuses nor is reused.
         let trials = rate > 0.0;
-        let p = self.spec.cost.key_frame_probability(self.spec.period());
+        let p = self.probability();
 
         // The memoized run that decides the most leading segments like `p`
         // (tied runs hold the same frames over those segments).
-        let memoized = if trials { self.fdps.len() } else { 0 };
+        let memoized = if trials { self.runs.len() } else { 0 };
         let source = (0..memoized)
-            .map(|run| {
-                let outcomes = &self.outcomes[run * n..(run + 1) * n];
-                (run, outcomes.iter().take_while(|o| o.admits(p)).count())
-            })
+            .map(|run| (run, self.run_outcomes(run).iter().take_while(|o| o.admits(p)).count()))
             .max_by_key(|&(_, admitted)| admitted);
         if let Some((run, admitted)) = source {
             if admitted == n {
-                return self.fdps[run];
+                return Measurement { rate, ..self.runs[run] };
             }
         }
 
@@ -222,9 +257,13 @@ impl Memo {
         let (run, admitted) = source.unwrap_or((0, 0));
         let sim = Simulator::new(&self.cfg);
         let (mut janks, mut display_time) = (0usize, SimDuration::ZERO);
+        let (mut latency_sum, mut records) = (0.0f64, 0usize);
         for k in 0..n {
             let (seg_janks, seg_display) = if k < admitted {
                 let o = self.outcomes[run * n + k];
+                // Reused segments lead, so the source's running sums
+                // through `k` are this run's too.
+                (latency_sum, records) = (o.latency_sum, o.records);
                 (o.janks, o.display_time)
             } else {
                 self.segment.frames.clear();
@@ -232,29 +271,76 @@ impl Memo {
                 let segment = &self.segment;
                 arena.with_scratch_report(|arena, out| {
                     sim.run_into(segment, &mut VsyncPacer::new(), arena, out);
+                    for r in &out.records {
+                        latency_sum += r.latency().as_millis_f64();
+                    }
+                    records += out.records.len();
                     (out.janks.len(), out.display_time)
                 })
             };
             let o = &mut self.outcomes[base + k];
             o.janks = seg_janks;
             o.display_time = seg_display;
+            o.latency_sum = latency_sum;
+            o.records = records;
             janks += seg_janks;
             display_time += seg_display;
         }
 
-        let measured = dvs_metrics::fdps(janks, display_time);
+        let fdps = dvs_metrics::fdps(janks, display_time);
+        let latency_ms = if records == 0 { 0.0 } else { latency_sum / records as f64 };
+        let measured = Measurement { rate, fdps, latency_ms };
         if trials {
-            self.fdps.push(measured);
+            self.traced = Some(self.runs.len());
+            self.runs.push(measured);
         } else {
+            self.traced = None;
             self.outcomes.truncate(base);
         }
         measured
     }
+
+    /// The key-frame probability of the rate measured last.
+    fn probability(&self) -> f64 {
+        self.spec.cost.key_frame_probability(self.spec.period())
+    }
+
+    /// The segment outcomes of memoized measurement `run`.
+    fn run_outcomes(&self, run: usize) -> &[SegmentOutcome] {
+        let n = self.segments.len();
+        &self.outcomes[run * n..(run + 1) * n]
+    }
+
+    /// The outcome of a search whose best measurement is `best`.
+    ///
+    /// The pooled trace holds the frames of the last generated
+    /// measurement. When that run decides every trial like the best rate,
+    /// they are the best rate's frames; otherwise the trace is regenerated.
+    fn into_outcome(mut self, best: Measurement, iterations: usize) -> CalibrationOutcome {
+        self.spec.cost.long_rate_per_sec = best.rate;
+        let p = self.probability();
+        let holds_best = match self.traced {
+            Some(run) => best.rate > 0.0 && self.run_outcomes(run).iter().all(|o| o.admits(p)),
+            None => best.rate == 0.0,
+        };
+        if !holds_best {
+            TraceGenerator::new(&self.spec).generate_into(&mut self.trace);
+        }
+        CalibrationOutcome {
+            spec: self.spec,
+            trace: self.trace,
+            measured_fdps: best.fdps,
+            measured_latency_ms: best.latency_ms,
+            iterations,
+        }
+    }
 }
 
+/// A full segmented VSync run's `(fdps, mean latency)` bits.
 #[cfg(test)]
-fn measure(spec: &ScenarioSpec, buffers: usize) -> f64 {
-    crate::runner::run_segmented(spec, buffers, || Box::new(VsyncPacer::new())).fdps()
+fn measure(spec: &ScenarioSpec, buffers: usize) -> (u64, u64) {
+    let report = crate::runner::run_segmented(spec, buffers, || Box::new(VsyncPacer::new()));
+    (report.fdps().to_bits(), report.mean_latency_ms().to_bits())
 }
 
 #[cfg(test)]
@@ -268,6 +354,7 @@ mod tests {
         let out = calibrate_spec(&spec, 3);
         assert_eq!(out.spec.cost.long_rate_per_sec, 0.0);
         assert!(out.measured_fdps < 0.7, "smooth spec FDPS {}", out.measured_fdps);
+        assert_eq!(out.trace, out.spec.generate());
     }
 
     #[test]
@@ -308,6 +395,8 @@ mod tests {
         let pooled = calibrate_spec_pooled(&spec, 3, &mut arena);
         assert_eq!(fresh.spec.cost.long_rate_per_sec, pooled.spec.cost.long_rate_per_sec);
         assert_eq!(fresh.measured_fdps, pooled.measured_fdps);
+        assert_eq!(fresh.measured_latency_ms, pooled.measured_latency_ms);
+        assert_eq!(fresh.trace, pooled.trace);
         assert_eq!(fresh.iterations, pooled.iterations);
     }
 
@@ -318,13 +407,14 @@ mod tests {
         let spec = ScenarioSpec::new("mix", 60, 600, CostProfile::scattered(2.0));
         let mut memo = Memo::new(&spec, 3);
         let mut arena = RunArena::new();
-        for rate in [0.0, 2.0, 0.0, 2.0 + 1e-12, 1e-9, 0.0, 3.0] {
+        for rate in [0.0, 2.0, 0.0, 2.0 + 1e-12, 1e-9, 0.0, 3.0, 2.5, 2.0] {
             let full = measure(&spec.clone().with_cost(spec.cost.with_long_rate(rate)), 3);
-            assert_eq!(memo.measure(rate, &mut arena).to_bits(), full.to_bits(), "rate {rate}");
+            let m = memo.measure(rate, &mut arena);
+            assert_eq!((m.fdps.to_bits(), m.latency_ms.to_bits()), full, "rate {rate}");
         }
-        // 2.0 + 1e-12 decides every trial like 2.0, so it was not memoized
-        // again; 1e-9 and 3.0 were.
-        assert_eq!(memo.fdps.len(), 3);
+        // 2.0 + 1e-12 and the second 2.0 decide every trial like the first
+        // 2.0, so they were not memoized again; 1e-9, 3.0 and 2.5 were.
+        assert_eq!(memo.runs.len(), 4);
     }
 
     #[test]
@@ -332,7 +422,10 @@ mod tests {
         let spec =
             ScenarioSpec::new("r", 60, 800, CostProfile::scattered(1.0)).with_paper_fdps(2.0);
         let out = calibrate_spec(&spec, 3);
-        // Re-running the fitted spec yields the same FDPS (determinism).
-        assert_eq!(measure(&out.spec, 3), out.measured_fdps);
+        // Re-running the fitted spec yields the same FDPS and latency
+        // (determinism), on the trace calibration handed over.
+        let full = measure(&out.spec, 3);
+        assert_eq!(full, (out.measured_fdps.to_bits(), out.measured_latency_ms.to_bits()));
+        assert_eq!(out.trace, out.spec.generate());
     }
 }

@@ -39,7 +39,7 @@ pub(crate) mod reference;
 use std::collections::VecDeque;
 
 use dvs_buffer::{BufferQueue, FrameMeta, SlotId};
-use dvs_display::{Panel, PanelOutcome, RefreshRate, VsyncTimeline};
+use dvs_display::{Panel, PanelOutcome, PulseEvent, RefreshRate, TickCursor, VsyncTimeline};
 use dvs_faults::{CompiledFaults, FaultSchedule};
 use dvs_metrics::{FaultClass, FaultRecord, FrameKind, FrameRecord, JankEvent, RunReport};
 use dvs_sim::{EventQueue, SimDuration, SimTime};
@@ -326,6 +326,9 @@ pub(crate) struct SurfaceState<'a, F: FaultView> {
     faults: F,
     /// The last tick an alloc denial was logged for (dedupes retries).
     denial_logged: Option<u64>,
+    /// The refresh interval last asked for: every handler of one refresh
+    /// reads it instead of searching the timeline again.
+    tick: TickCursor,
     /// Latches the compositor's compose budget denied while an eligible
     /// buffer was waiting (always zero on the single-pipeline path).
     deferred_latches: u64,
@@ -376,6 +379,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             truncated: false,
             faults,
             denial_logged: None,
+            tick: TickCursor::new(),
             deferred_latches: 0,
             out,
         }
@@ -530,13 +534,12 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             return;
         }
         let free_slots = self.queue.free_len();
-        let (next_idx, next_time) = timeline.next_tick_after(now);
-        let last_idx = next_idx - 1;
+        let tick = self.tick.at(timeline, now);
         let ctx = PacerCtx {
             now,
-            period: timeline.period_at(last_idx),
-            last_tick: (last_idx, timeline.tick_time(last_idx)),
-            next_tick: (next_idx, next_time),
+            period: tick.period,
+            last_tick: tick.last,
+            next_tick: tick.next,
             queued: self.queue.queued_len(),
             in_flight: self.in_flight,
             free_slots,
@@ -593,7 +596,7 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             // of this refresh interval. Ticks keep firing and re-enter
             // `pump_rs`, so the dispatch is retried — the fault degrades
             // throughput instead of wedging the pipeline.
-            let cur_tick = timeline.next_tick_after(now).0.saturating_sub(1);
+            let cur_tick = self.tick.at(timeline, now).last.0;
             if self.faults.deny_alloc(cur_tick) {
                 if self.denial_logged != Some(cur_tick) {
                     self.denial_logged = Some(cur_tick);
@@ -614,15 +617,12 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
                 None => now,
                 Some(offset) => {
                     // The next VSync-rs signal at or after `now`.
-                    let (last_idx, _) = {
-                        let (n, _) = timeline.next_tick_after(now);
-                        (n - 1, ())
-                    };
-                    let last_signal = timeline.tick_time(last_idx) + offset;
+                    let tick = self.tick.at(timeline, now);
+                    let last_signal = tick.last.1 + offset;
                     if last_signal >= now {
                         last_signal
                     } else {
-                        timeline.tick_time(last_idx + 1) + offset
+                        tick.next.1 + offset
                     }
                 }
             };
@@ -661,13 +661,33 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         }
     }
 
-    fn eligible_tick(&self, timeline: &VsyncTimeline, queued_at: SimTime) -> u64 {
+    /// The pulse of tick `k + 1`, for the handler of tick `k` running at
+    /// `now`. A pulse fires inside its own refresh interval, so the cursor
+    /// at `now` already holds the next tick; the timeline is asked only if
+    /// it does not.
+    pub(crate) fn pulse_after(
+        &mut self,
+        k: u64,
+        now: SimTime,
+        timeline: &VsyncTimeline,
+    ) -> PulseEvent {
+        let next = self.tick.at(timeline, now).next;
+        if next.0 == k + 1 {
+            PulseEvent { tick: next.0, at: next.1 }
+        } else {
+            timeline.pulse(k + 1)
+        }
+    }
+
+    fn eligible_tick(&mut self, timeline: &VsyncTimeline, queued_at: SimTime) -> u64 {
         let target = queued_at + self.cfg.latch();
         if target.as_nanos() == 0 {
             return 0;
         }
         let probe = SimTime::from_nanos(target.as_nanos() - 1);
-        timeline.next_tick_after(probe).0
+        // Frames queue in frame order, so successive probes rise and the
+        // cursor answers most of them without a search.
+        self.tick.at(timeline, probe).next.0
     }
 
     /// Consumes the state, completing the borrowed output report. Identical
@@ -801,7 +821,7 @@ impl<'a, F: FaultView> PipeState<'a, F> {
                 // An injected pulse delay shifts when the NEXT tick's event
                 // fires; fault resolution clamps delays to a quarter period
                 // so pulses stay ordered.
-                let pulse = self.timeline.pulse(k + 1);
+                let pulse = s.pulse_after(k, t, &self.timeline);
                 sched(pulse.at + s.faults.tick_delay(pulse.tick), Ev::Tick(pulse.tick));
                 // A present may have released a buffer the render stage was
                 // blocked on.

@@ -344,6 +344,37 @@ pub fn round_u64(x: f64) -> u64 {
     }
 }
 
+/// Rounds to the nearest integer, half away from zero, with the saturating
+/// `as` cast: exactly `x.round() as i64` for every `x`, so NaN gives 0 and
+/// anything at or past ±2^63 gives `i64::MAX` or `i64::MIN`.
+///
+/// The signed twin of [`round_u64`], for the same reason: a truncating
+/// cast and two compares instead of the software `f64::round`.
+///
+/// # Examples
+///
+/// ```
+/// use dvs_sim::round_i64;
+/// assert_eq!(round_i64(2.5), 3);
+/// assert_eq!(round_i64(-2.5), -3);
+/// assert_eq!(round_i64(-0.49999999999999994), 0);
+/// assert_eq!(round_i64(f64::NEG_INFINITY), i64::MIN);
+/// ```
+#[inline]
+pub fn round_i64(x: f64) -> i64 {
+    let t = x as i64;
+    // As in `round_u64`: for |x| < 2^53 the difference is the exact
+    // fractional part (with x's sign); larger finite x are integers.
+    let frac = x - t as f64;
+    if frac >= 0.5 {
+        t.saturating_add(1)
+    } else if frac <= -0.5 {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,6 +490,42 @@ mod tests {
             let half = x.trunc() + 0.5;
             for x in [x, half] {
                 assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn round_i64_matches_round_then_cast() {
+        let two52 = 2f64.powi(52);
+        let two63 = 2f64.powi(63);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            1.5,
+            two52 - 0.5,
+            two52 + 0.5,
+            2f64.powi(53) + 2.0,
+            two63,
+            2f64.powi(64),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        // Every edge mirrored below zero, where the cast truncates upwards.
+        edges.extend(edges.clone().into_iter().map(|x| -x));
+        edges.extend([0.5, -0.5, 2.5, -2.5, f64::NAN, -f64::NAN]);
+        for x in edges {
+            assert_eq!(round_i64(x), x.round() as i64, "x = {x:e}");
+        }
+        let mut rng = crate::SimRng::seed_from(0x1_80_0D);
+        for _ in 0..100_000 {
+            // Magnitudes from 2^-4 to 2^70 of either sign, plus the exact
+            // half-way points.
+            let magnitude = rng.next_f64() * 2f64.powi(rng.next_below(75) as i32 - 4);
+            let x = if rng.next_below(2) == 0 { magnitude } else { -magnitude };
+            let half = x.trunc() + 0.5f64.copysign(x);
+            for x in [x, half] {
+                assert_eq!(round_i64(x), x.round() as i64, "x = {x:e}");
             }
         }
     }

@@ -19,7 +19,8 @@
 //!
 //! The same wall holds baseline calibration, which reuses segment results
 //! across the rates of one search, bit-identical to a search that measures
-//! every rate with a full segmented run.
+//! every rate with a full segmented run, and whose handed-over trace and
+//! baseline measurement equal a fresh generation and a fresh run.
 
 use proptest::prelude::*;
 
@@ -272,8 +273,10 @@ fn calibration_oracle(spec: &ScenarioSpec, buffers: usize) -> (f64, f64, usize) 
     (best_rate, best_fdps, iterations)
 }
 
-#[test]
-fn memoized_calibration_matches_measuring_every_rate() {
+/// The calibration wall's cases: every suite and edge spec at three seeds,
+/// alternating 3 and 4 buffers between seeds, plus the long-trace suites
+/// rotated one seed and buffer count per spec.
+fn calibration_wall() -> Vec<(ScenarioSpec, usize)> {
     let mut specs = [
         scenarios::mate60_vulkan_suite(),
         scenarios::mate60_gles_suite(),
@@ -303,14 +306,31 @@ fn memoized_calibration_matches_measuring_every_rate() {
     // one seed and buffer count per spec, to keep the debug run short.
     let long = [scenarios::android_app_suite(), scenarios::game_suite()].concat();
 
-    // One warm arena across every call, as a sweep worker holds it.
-    let mut arena = RunArena::new();
-    let mut check = |base: &ScenarioSpec, seed: usize, buffers: usize| {
+    let seeded = |base: &ScenarioSpec, seed: usize| {
         let mut spec = base.clone();
         spec.seed = stable_seed(&format!("calibration-differential/{seed}/{}", spec.name));
+        spec
+    };
+    let mut cases = Vec::new();
+    for seed in 0..3 {
+        for (i, spec) in specs.iter().enumerate() {
+            cases.push((seeded(spec, seed), 3 + (i + seed) % 2));
+        }
+    }
+    for (j, spec) in long.iter().enumerate() {
+        cases.push((seeded(spec, j % 3), 3 + j % 2));
+    }
+    cases
+}
+
+#[test]
+fn memoized_calibration_matches_measuring_every_rate() {
+    // One warm arena across every call, as a sweep worker holds it.
+    let mut arena = RunArena::new();
+    for (spec, buffers) in calibration_wall() {
         let (rate, fdps, iterations) = calibration_oracle(&spec, buffers);
         let out = calibrate_spec_pooled(&spec, buffers, &mut arena);
-        let at = format!("{} (seed {seed}, {buffers} buffers)", spec.name);
+        let at = format!("{} (seed {:x}, {buffers} buffers)", spec.name, spec.seed);
         assert_eq!(
             out.spec.cost.long_rate_per_sec.to_bits(),
             rate.to_bits(),
@@ -318,15 +338,30 @@ fn memoized_calibration_matches_measuring_every_rate() {
         );
         assert_eq!(out.measured_fdps.to_bits(), fdps.to_bits(), "FDPS on {at}");
         assert_eq!(out.iterations, iterations, "iterations on {at}");
-    };
-    // Three seeds per spec, alternating 3 and 4 buffers between seeds.
-    for seed in 0..3 {
-        for (i, spec) in specs.iter().enumerate() {
-            check(spec, seed, 3 + (i + seed) % 2);
-        }
     }
-    for (j, spec) in long.iter().enumerate() {
-        check(spec, j % 3, 3 + j % 2);
+}
+
+/// Calibration hands over its fitted trace and its best measurement, and
+/// the sweep serves both as the scenario's trace and its baseline cell. So
+/// the trace must be the fitted spec's, and the measurement must be a fresh
+/// segmented VSync run of it, bit for bit — on every case of the wall and
+/// every suite75 scenario (46 of which have a zero target).
+#[test]
+fn calibration_hands_over_its_fitted_trace_and_baseline_run() {
+    let mut cases = calibration_wall();
+    cases.extend(suite75::bench_suite().into_iter().map(|spec| (spec, 3)));
+    let mut arena = RunArena::new();
+    for (spec, buffers) in cases {
+        let out = calibrate_spec_pooled(&spec, buffers, &mut arena);
+        let at = format!("{} (seed {:x}, {buffers} buffers)", spec.name, spec.seed);
+        assert!(out.trace == out.spec.generate(), "handed-over trace on {at}");
+        let baseline = run_segmented(&out.spec, buffers, || Box::new(VsyncPacer::new()));
+        assert_eq!(out.measured_fdps.to_bits(), baseline.fdps().to_bits(), "FDPS on {at}");
+        assert_eq!(
+            out.measured_latency_ms.to_bits(),
+            baseline.mean_latency_ms().to_bits(),
+            "mean latency on {at}"
+        );
     }
 }
 

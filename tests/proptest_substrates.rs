@@ -1,11 +1,11 @@
 //! Property-based tests on the substrate data structures: the buffer queue's
-//! state machine, the event queue's ordering, the timeline's monotonicity,
-//! and the samplers' ranges.
+//! state machine, the event queue's ordering, the timeline's monotonicity
+//! and its tick cursor, and the samplers' ranges.
 
 use proptest::prelude::*;
 
 use dvsync::buffer::{BufferQueue, FrameMeta};
-use dvsync::display::{RefreshRate, VsyncTimeline};
+use dvsync::display::{RefreshRate, TickCursor, TickInterval, VsyncTimeline};
 use dvsync::sim::{EventQueue, SimDuration, SimRng, SimTime};
 use dvsync::workload::{LogNormal, Pareto};
 
@@ -127,6 +127,65 @@ proptest! {
         prop_assert!(t > probe);
         if k > 0 {
             prop_assert!(tl.tick_time(k - 1) <= probe);
+        }
+    }
+
+    /// The tick cursor cannot be told apart from the timeline it memoizes.
+    /// On drifting, phased, jittered and rate-switched timelines, under a
+    /// rising query sequence (steps inside a refresh, onto the next tick's
+    /// exact time, just short of it, onto the tick after it, and jumps) and
+    /// under arbitrary order, its
+    /// `(last, next, period)` equal `next_tick_after`, `tick_time` and
+    /// `period_at`. Both simulator engines share the surface state machine
+    /// that holds the cursor, so the differential walls cannot catch a
+    /// cursor error; this wall and the goldens must.
+    #[test]
+    fn tick_cursor_answers_like_the_timeline(
+        rate in prop_oneof![Just(30u32), Just(60), Just(90), Just(120), Just(144)],
+        drift in -2000.0f64..2000.0,
+        phase_us in 0u64..20_000,
+        jitter_us in prop_oneof![Just(0u64), Just(0u64), 1u64..3000],
+        seed in any::<u64>(),
+        switches in prop::collection::vec(
+            (1u64..90, prop_oneof![Just(30u32), Just(60), Just(90), Just(120), Just(144)]),
+            0..4,
+        ),
+        steps in prop::collection::vec((0u64..200_000_000, 0u8..5), 1..300),
+    ) {
+        let mut tl = VsyncTimeline::builder(RefreshRate::from_hz(rate))
+            .phase(SimTime::from_micros(phase_us))
+            .drift_ppm(drift)
+            .jitter(SimDuration::from_micros(jitter_us), seed)
+            .build();
+        let mut at_tick = 0;
+        for (gap, hz) in switches {
+            at_tick += gap;
+            tl.switch_rate_at_tick(at_tick, RefreshRate::from_hz(hz));
+        }
+        let expected = |t: SimTime| {
+            let next = tl.next_tick_after(t);
+            let last = next.0 - 1;
+            TickInterval { last: (last, tl.tick_time(last)), next, period: tl.period_at(last) }
+        };
+        let origin = tl.tick_time(0);
+
+        let mut cursor = TickCursor::new();
+        let mut t = origin;
+        for &(ns, kind) in &steps {
+            t = match kind {
+                0 => t + SimDuration::from_nanos(ns % 3_000_000),
+                1 => tl.next_tick_after(t).1,
+                2 => SimTime::from_nanos(tl.next_tick_after(t).1.as_nanos() - 1),
+                3 => tl.tick_time(tl.next_tick_after(t).0 + 1),
+                _ => t + SimDuration::from_nanos(ns),
+            };
+            prop_assert_eq!(cursor.at(&tl, t), expected(t), "rising query at {}", t);
+        }
+
+        let mut cursor = TickCursor::new();
+        for &(ns, _) in &steps {
+            let t = origin + SimDuration::from_nanos(ns * 40);
+            prop_assert_eq!(cursor.at(&tl, t), expected(t), "arbitrary query at {}", t);
         }
     }
 
