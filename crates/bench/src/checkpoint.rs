@@ -19,6 +19,11 @@
 //!    rename. A short or torn file fails the checksum (or the parse) and
 //!    loads as [`DvsError::CheckpointCorrupt`] instead of garbage.
 //!
+//! The resilient executor calls [`Checkpoint::save`] from one writer thread
+//! per run, never from a worker holding the executor lock, so the rename's
+//! wait on the disk (tens of milliseconds on ext4, which flushes a file
+//! renamed over another) delays only the next write, not the sweep.
+//!
 //! File operations return [`DvsError::Io`] carrying the path and operation,
 //! the same typed-error discipline the golden helpers use.
 

@@ -134,7 +134,10 @@ pub struct ResilientFleet {
     pub report: FleetReport,
     /// The shard completion ledger.
     pub accounting: PartialAccounting,
-    /// Checkpoints written during the run.
+    /// Checkpoints written during the run. A snapshot that a newer one
+    /// replaced before the writer took it is never written, so the count
+    /// depends on disk speed: at most one per cadence point plus the final
+    /// snapshot.
     pub checkpoint_writes: usize,
 }
 

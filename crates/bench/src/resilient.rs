@@ -21,12 +21,21 @@
 //!   and the sweep completes with explicit [`PartialAccounting`] rather
 //!   than aborting.
 //! * **Checkpoint/resume** — completed cells are persisted at a configurable
-//!   cadence ([`CheckpointConfig`]); a killed run resumed with the same grid
-//!   produces a final [`SweepReport`] **byte-identical** to an uninterrupted
-//!   run, at any kill point and across `--jobs N`. Cell results round-trip
-//!   through the checkpoint exactly because *both* fresh and resumed cells
-//!   travel the same serialize→parse path (and the vendored `serde_json`
-//!   prints `f64` losslessly).
+//!   cadence ([`CheckpointConfig`]), and a finished run's checkpoint holds
+//!   every cell; a killed run resumed with the same grid produces a final
+//!   [`SweepReport`] **byte-identical** to an uninterrupted run, at any kill
+//!   point and across `--jobs N`. Cell results round-trip through the
+//!   checkpoint exactly because *both* fresh and resumed cells travel the
+//!   same serialize→parse path (and the vendored `serde_json` prints `f64`
+//!   losslessly).
+//! * **Checkpoint writes off the workers** — at a cadence point a worker
+//!   copies the slot map under the executor lock and offers the copy to
+//!   one writer thread through a one-slot mailbox, where a newer snapshot
+//!   replaces one still waiting. The writer saves with the temp-file and
+//!   rename protocol of [`Checkpoint::save`], so one write at most is in
+//!   flight and no worker waits on the disk. A real kill can therefore
+//!   lose the cells completed since the last write *finished*; the
+//!   injected crash and the end of a run both wait for the writer.
 //! * **Fault harness** — [`ExecFaults`] injects deterministic failures into
 //!   the executor itself (`panic-in-cell K`, `crash-at-cell K`, torn
 //!   checkpoint writes), mirroring how `dvs-faults` pre-materializes draws:
@@ -35,7 +44,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Condvar, Mutex, Once, PoisonError};
 use std::thread;
 
 use dvs_metrics::{PartialAccounting, QuarantineEntry, QuarantineReport};
@@ -44,7 +53,9 @@ use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::{compositor_scenario_suite, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{fingerprint_of, CellSlot, Checkpoint, QuarantinedSlot};
+use crate::checkpoint::{
+    fingerprint_of, CellSlot, Checkpoint, QuarantinedSlot, CHECKPOINT_VERSION,
+};
 use crate::compose::{ComposeRow, ComposeSweep, INTERFERENCE_BUDGET};
 use crate::suite::SuiteResult;
 use crate::sweep::{
@@ -75,8 +86,12 @@ pub struct CheckpointConfig {
     /// The checkpoint file path (a `String` so the config itself is serde;
     /// the vendored serde has no `PathBuf` impls).
     pub path: String,
-    /// Completed cells between checkpoint writes; `0` disables periodic
-    /// writes entirely.
+    /// Completed cells between checkpoint snapshots; `0` disables
+    /// checkpoint writes entirely. Each snapshot goes to the writer thread,
+    /// which writes only the newest one waiting, so on a slow disk fewer
+    /// files are written than snapshots taken, and a kill can lose the cells
+    /// completed since the last write finished rather than fewer than
+    /// `cadence`.
     pub cadence: usize,
     /// Whether to restore completed cells from an existing checkpoint at
     /// `path` before executing (a missing file simply starts fresh).
@@ -162,7 +177,10 @@ pub struct ResilientSweep {
     /// The completion ledger: measured + quarantined = total, with retry and
     /// resume counts.
     pub accounting: PartialAccounting,
-    /// Checkpoint files written during this run.
+    /// Checkpoint files written during this run. A snapshot that a newer
+    /// one replaced before the writer took it is never written, so the
+    /// count depends on disk speed: at most one per cadence point plus the
+    /// final snapshot.
     pub checkpoint_writes: usize,
 }
 
@@ -228,20 +246,139 @@ fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
 // ---- The executor ----------------------------------------------------------
 
 /// Mutable sweep progress shared by all workers (one lock, taken once per
-/// completed cell — never inside a cell's compute).
+/// completed cell — never inside a cell's compute, and never across a
+/// checkpoint write).
 struct ExecShared {
     /// Per-cell outcomes; doubles as the checkpoint's slot map.
     slots: Vec<Option<CellSlot>>,
     /// Completed cells (measured or quarantined), including resumed ones.
     done: usize,
-    /// Completions since the last checkpoint write.
+    /// Completions since the last snapshot handed to the writer.
     since_checkpoint: usize,
-    /// Checkpoint files written so far.
-    checkpoint_writes: usize,
     /// Set when the injected crash point fires.
     interrupted: bool,
-    /// First checkpoint-write error, if any (aborts the sweep).
-    io_error: Option<DvsError>,
+}
+
+/// The one-slot mailbox between the workers and the checkpoint writer,
+/// plus the writer's tally.
+#[derive(Default)]
+struct Mailbox {
+    /// The newest snapshot the writer has not taken yet.
+    pending: Option<Vec<Option<CellSlot>>>,
+    /// Set once no worker will offer another snapshot.
+    closed: bool,
+    /// Checkpoint files written so far.
+    writes: usize,
+    /// The first failed write. Once set, the writer stops and later
+    /// snapshots are dropped.
+    error: Option<DvsError>,
+}
+
+/// Persists slot-map snapshots on a thread of its own, so no worker waits
+/// on the disk. Workers offer a snapshot at each cadence point; a newer
+/// snapshot replaces one still waiting, and one write at most is in flight.
+struct CheckpointWriter<'a> {
+    /// The checkpoint file and cadence.
+    config: &'a CheckpointConfig,
+    /// The grid fingerprint each file carries.
+    fingerprint: u64,
+    /// Write torn files (the fault harness's `torn_checkpoint_write`).
+    torn: bool,
+    mailbox: Mutex<Mailbox>,
+    /// Wakes the writer when a snapshot arrives or the mailbox closes.
+    wake: Condvar,
+}
+
+impl<'a> CheckpointWriter<'a> {
+    fn new(config: &'a CheckpointConfig, fingerprint: u64, torn: bool) -> Self {
+        CheckpointWriter {
+            config,
+            fingerprint,
+            torn,
+            mailbox: Mutex::new(Mailbox::default()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Hands the writer a snapshot, replacing any it has not taken yet.
+    /// Workers call this under the executor lock, so snapshots arrive in
+    /// completion order and the newest one wins.
+    fn offer(&self, slots: Vec<Option<CellSlot>>) {
+        // dvs-lint: allow(panic-escape, reason = "the mailbox lock is held only for field updates that cannot panic, so it is never poisoned")
+        let mut mailbox = self.mailbox.lock().expect("checkpoint mailbox poisoned");
+        if mailbox.error.is_none() {
+            mailbox.pending = Some(slots);
+            self.wake.notify_one();
+        }
+    }
+
+    /// Tells the writer that no snapshot will follow. Runs from `Drop`, so
+    /// a poisoned lock is recovered rather than panicked on: setting the
+    /// flag leaves the mailbox valid.
+    fn close(&self) {
+        self.mailbox.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.wake.notify_one();
+    }
+
+    /// Waits for the next snapshot; `None` once the mailbox is closed and
+    /// empty, or a write has failed.
+    fn next_snapshot(&self) -> Option<Vec<Option<CellSlot>>> {
+        // dvs-lint: allow(panic-escape, reason = "the mailbox lock is held only for field updates that cannot panic, so it is never poisoned")
+        let mut mailbox = self.mailbox.lock().expect("checkpoint mailbox poisoned");
+        loop {
+            if mailbox.error.is_some() {
+                return None;
+            }
+            if let Some(slots) = mailbox.pending.take() {
+                return Some(slots);
+            }
+            if mailbox.closed {
+                return None;
+            }
+            // dvs-lint: allow(panic-escape, reason = "the mailbox lock is held only for field updates that cannot panic, so it is never poisoned")
+            mailbox = self.wake.wait(mailbox).expect("checkpoint mailbox poisoned");
+        }
+    }
+
+    /// The writer thread: saves each snapshot it takes with the temp-file
+    /// and rename protocol of [`Checkpoint::save`] (torn under the fault
+    /// harness), until the mailbox closes. The first failed write sets
+    /// `stop`, so no new cell is scheduled.
+    fn write_until_closed(&self, stop: &AtomicBool) {
+        let path = Path::new(&self.config.path);
+        while let Some(slots) = self.next_snapshot() {
+            let ckpt =
+                Checkpoint { version: CHECKPOINT_VERSION, fingerprint: self.fingerprint, slots };
+            let wrote = if self.torn { ckpt.save_torn(path) } else { ckpt.save(path) };
+            // dvs-lint: allow(panic-escape, reason = "the mailbox lock is held only for field updates that cannot panic, so it is never poisoned")
+            let mut mailbox = self.mailbox.lock().expect("checkpoint mailbox poisoned");
+            match wrote {
+                Ok(()) => mailbox.writes += 1,
+                Err(e) => {
+                    mailbox.error = Some(e);
+                    mailbox.pending = None;
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// The files written and the first write error.
+    fn into_outcome(self) -> (usize, Option<DvsError>) {
+        let mailbox = self.mailbox.into_inner().unwrap_or_else(PoisonError::into_inner);
+        (mailbox.writes, mailbox.error)
+    }
+}
+
+/// Closes the writer's mailbox when dropped: once the workers return, and
+/// also when a worker's panic unwinds past it, so the writer never waits
+/// inside the scope for a snapshot that cannot come.
+struct CloseOnDrop<'w, 'a>(&'w CheckpointWriter<'a>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// Runs one cell's bounded attempt loop and returns its durable outcome.
@@ -327,6 +464,10 @@ where
 /// Unlike [`SweepEngine::run_with`], workers publish each completion into
 /// the shared state immediately (not buffered until drain), because the
 /// checkpoint cadence needs a current view of progress at every completion.
+/// With a cadence set, a [`CheckpointWriter`] thread saves the snapshots
+/// the workers offer: one at each cadence point and one, holding every
+/// cell, at the run's last completion. The call returns only after the
+/// last snapshot offered is on disk.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_cells<T, F>(
     n: usize,
@@ -349,10 +490,13 @@ where
         slots: resumed_slots,
         done: resumed,
         since_checkpoint: 0,
-        checkpoint_writes: 0,
         interrupted: false,
-        io_error: None,
     });
+    let writer = cfg
+        .checkpoint
+        .as_ref()
+        .filter(|ck| ck.cadence > 0)
+        .map(|ck| CheckpointWriter::new(ck, fingerprint, cfg.faults.torn_checkpoint_write));
 
     let worker = |arena: &mut RunArena| loop {
         if stop.load(Ordering::Relaxed) {
@@ -384,62 +528,57 @@ where
         // dvs-lint: allow(panic-escape, reason = "slots has n entries and i < n is checked above")
         sh.slots[i] = Some(slot);
         sh.done += 1;
-        if let Some(ck) = &cfg.checkpoint {
-            if ck.cadence > 0 {
-                sh.since_checkpoint += 1;
-                if sh.since_checkpoint >= ck.cadence {
-                    sh.since_checkpoint = 0;
-                    let ckpt = Checkpoint {
-                        version: crate::checkpoint::CHECKPOINT_VERSION,
-                        fingerprint,
-                        // dvs-lint: allow(hot-alloc, reason = "checkpoint serialization is cadence-gated I/O, outside every cell's compute")
-                        slots: sh.slots.clone(),
-                    };
-                    let wrote = if cfg.faults.torn_checkpoint_write {
-                        ckpt.save_torn(Path::new(&ck.path))
-                    } else {
-                        ckpt.save(Path::new(&ck.path))
-                    };
-                    match wrote {
-                        Ok(()) => sh.checkpoint_writes += 1,
-                        Err(e) => {
-                            sh.io_error = Some(e);
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
+        let crashed = cfg.faults.crash_at_cell == Some(sh.done);
+        if let Some(writer) = &writer {
+            sh.since_checkpoint += 1;
+            // The last completion snapshots too, so a finished run's
+            // checkpoint holds every cell; the injected crash is a kill and
+            // gets no such snapshot.
+            if sh.since_checkpoint >= writer.config.cadence || (sh.done == n && !crashed) {
+                sh.since_checkpoint = 0;
+                // dvs-lint: allow(hot-alloc, reason = "the snapshot copy is cadence-gated checkpoint I/O, outside every cell's compute")
+                writer.offer(sh.slots.clone());
             }
         }
-        if cfg.faults.crash_at_cell == Some(sh.done) {
+        if crashed {
             sh.interrupted = true;
             stop.store(true, Ordering::Relaxed);
         }
     };
 
-    if jobs <= 1 || n <= 1 {
-        let mut arena = RunArena::new();
-        worker(&mut arena);
-    } else {
-        thread::scope(|scope| {
-            for _ in 0..jobs.min(n) {
-                scope.spawn(|| {
-                    let mut arena = RunArena::new();
-                    worker(&mut arena);
-                });
-            }
-        });
+    let run_workers = || {
+        if jobs <= 1 || n <= 1 {
+            worker(&mut RunArena::new());
+        } else {
+            thread::scope(|scope| {
+                for _ in 0..jobs.min(n) {
+                    scope.spawn(|| worker(&mut RunArena::new()));
+                }
+            });
+        }
+    };
+    match &writer {
+        // The scope joins the writer after the mailbox closes, so both the
+        // injected crash and the end of the run wait for the last write.
+        Some(writer) => thread::scope(|scope| {
+            scope.spawn(|| writer.write_until_closed(&stop));
+            let _close = CloseOnDrop(writer);
+            run_workers();
+        }),
+        None => run_workers(),
     }
 
-    // dvs-lint: allow(panic-escape, reason = "poisoning requires a worker panic, which the cell boundary quarantines; treating an escape as fatal is the design")
-    let sh = shared.into_inner().expect("resilient sweep state poisoned");
-    if let Some(e) = sh.io_error {
+    let (checkpoint_writes, write_error) = writer.map_or((0, None), CheckpointWriter::into_outcome);
+    if let Some(e) = write_error {
         return Err(e);
     }
+    // dvs-lint: allow(panic-escape, reason = "poisoning requires a worker panic, which the cell boundary quarantines; treating an escape as fatal is the design")
+    let sh = shared.into_inner().expect("resilient sweep state poisoned");
     if sh.interrupted {
         return Err(DvsError::SweepInterrupted { completed: sh.done, total: n });
     }
     debug_assert!(sh.slots.iter().all(|s| s.is_some()), "every cell completed or quarantined");
-    Ok((sh.slots, sh.checkpoint_writes))
+    Ok((sh.slots, checkpoint_writes))
 }
 
 /// Decodes a finished slot map in cell-index order — never completion
@@ -645,22 +784,8 @@ pub fn run_suite_resilient(
         }
     };
 
-    let (slots, mut checkpoint_writes) =
+    let (slots, checkpoint_writes) =
         execute_cells(n, engine.jobs(), &keys, fingerprint, cfg, start_slots, resumed, &work)?;
-
-    // Completed: flush a final full checkpoint so resuming a finished run
-    // short-circuits instead of re-measuring.
-    if let Some(ck) = &cfg.checkpoint {
-        if ck.cadence > 0 && !cfg.faults.torn_checkpoint_write {
-            Checkpoint {
-                version: crate::checkpoint::CHECKPOINT_VERSION,
-                fingerprint,
-                slots: slots.clone(),
-            }
-            .save(Path::new(&ck.path))?;
-            checkpoint_writes += 1;
-        }
-    }
 
     // A quarantined cell keeps its row position with zeroed metrics; the
     // quarantine list is the authoritative exclusion record.
@@ -941,6 +1066,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DvsError::CheckpointCorrupt { .. }), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn escaping_worker_panic_does_not_strand_the_writer() {
+        let path = temp_ckpt("escape.ckpt");
+        let cfg = ResilienceConfig {
+            checkpoint: Some(CheckpointConfig { path: path.clone(), cadence: 1, resume: false }),
+            ..ResilienceConfig::default()
+        };
+        // Two keys for four cells: looking up the third key panics outside
+        // every cell boundary, after the first snapshots reach the writer.
+        let keys = vec!["a".to_string(), "b".to_string()];
+        for jobs in [1, 2] {
+            let escaped = catch_unwind(AssertUnwindSafe(|| {
+                execute_cells(4, jobs, &keys, 0, &cfg, vec![None; 4], 0, &|_: &mut RunArena, i| i)
+            }));
+            assert!(escaped.is_err(), "the worker's panic reaches the caller (jobs {jobs})");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

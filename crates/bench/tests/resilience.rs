@@ -1,6 +1,7 @@
 //! Integration tests for the resilient sweep executor: quarantine goldens,
-//! torn-checkpoint rejection, and the `repro` binary's tri-state exit codes
-//! (0 clean, 1 hard error, 2 completed with quarantined cells).
+//! torn-checkpoint rejection, finished-run checkpoints, failed checkpoint
+//! writes, and the `repro` binary's tri-state exit codes (0 clean, 1 hard
+//! error, 2 completed with quarantined cells).
 //!
 //! The library-level kill/resume byte-identity matrix lives in the repo-root
 //! `tests/chaos.rs`; this file covers the contract as seen from outside —
@@ -11,10 +12,12 @@ use std::process::Command;
 
 use dvs_bench::golden::{check_against, golden_dir};
 use dvs_bench::{
-    run_suite_resilient, tiny_suite, CheckpointConfig, ExecFaults, ResilienceConfig, SweepMode,
+    run_compose_resilient, run_fleet_resilient, run_suite_resilient, tiny_suite, CheckpointConfig,
+    ExecFaults, FleetEngine, ResilienceConfig, SweepMode,
 };
-use dvs_metrics::QuarantineReport;
+use dvs_metrics::{PartialAccounting, QuarantineReport};
 use dvs_sim::DvsError;
+use dvs_workload::FleetSpec;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("dvsync_resilience_test").join(name);
@@ -103,6 +106,99 @@ fn torn_checkpoint_is_rejected_on_resume() {
         other => panic!("expected checkpoint corruption on resume, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// What the finished-run and write-failure tests compare: the run's
+/// byte-identity artifact, its ledger, and the checkpoint files it wrote
+/// (`None` where the runner does not report them).
+#[derive(Debug)]
+struct Outcome {
+    report: String,
+    accounting: PartialAccounting,
+    writes: Option<usize>,
+}
+
+type Runner = fn(&ResilienceConfig, usize) -> Result<Outcome, DvsError>;
+
+/// The three checkpointed runners, six cells each: the tiny sweep (two
+/// scenarios × three cells), the compositor suite, and a tiny fleet in six
+/// shards.
+fn six_cell_runners() -> [(&'static str, Runner); 3] {
+    [
+        ("sweep", |cfg, jobs| {
+            let out = tiny_run(cfg, jobs)?;
+            let writes = Some(out.checkpoint_writes);
+            Ok(Outcome { report: out.report.to_json(), accounting: out.accounting, writes })
+        }),
+        ("compose", |cfg, jobs| {
+            let out = run_compose_resilient(jobs, cfg)?;
+            let report = serde_json::to_string(&(&out.sweep, &out.quarantine)).unwrap();
+            Ok(Outcome { report, accounting: out.accounting, writes: None })
+        }),
+        ("fleet", |cfg, jobs| {
+            let out =
+                run_fleet_resilient(&FleetSpec::tiny(96, 24), 6, jobs, FleetEngine::Batched, cfg)?;
+            let writes = Some(out.checkpoint_writes);
+            Ok(Outcome { report: out.report.to_json()?, accounting: out.accounting, writes })
+        }),
+    ]
+}
+
+/// A finished run's checkpoint holds every cell, whatever the cadence: the
+/// run's last completion is written too. Resuming it restores all six
+/// cells, writes nothing, and executes nothing — the resumed leg's last
+/// cell panics if it ever runs, which would show as a quarantine.
+#[test]
+fn finished_runs_resume_every_cell_and_execute_nothing() {
+    let dir = temp_dir("finished");
+    for (name, run) in six_cell_runners() {
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
+            checkpoint: Some(CheckpointConfig {
+                path: path.to_string_lossy().into_owned(),
+                cadence: 4,
+                resume,
+            }),
+            faults,
+            ..ResilienceConfig::default()
+        };
+        let finished = run(&ck(false, ExecFaults::default()), 2).expect("the run finishes");
+        let last_cell_panics = ExecFaults { panic_in_cell: Some(5), ..ExecFaults::default() };
+        let resumed = run(&ck(true, last_cell_panics), 2).expect("the resume finishes");
+        assert_eq!(resumed.accounting.cells_resumed, 6, "{name}: the checkpoint left out its tail");
+        assert_eq!(resumed.accounting.cells_quarantined, 0, "{name}: a restored cell ran again");
+        assert_eq!(resumed.writes.unwrap_or(0), 0, "{name}: a resume with nothing to do wrote");
+        assert_eq!(resumed.report, finished.report, "{name}: the resumed report differs");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A checkpoint write that fails ends the run with a typed I/O error at any
+/// worker count, for every runner, instead of hanging or finishing without
+/// its checkpoint. The path lies under a regular file, so creating its
+/// directory fails.
+#[test]
+fn failed_checkpoint_writes_end_the_run_with_an_io_error() {
+    let blocker = temp_dir("unwritable").join("regular-file");
+    std::fs::write(&blocker, "not a directory\n").unwrap();
+    let cfg = ResilienceConfig {
+        checkpoint: Some(CheckpointConfig {
+            path: blocker.join("ck").to_string_lossy().into_owned(),
+            cadence: 1,
+            resume: false,
+        }),
+        ..ResilienceConfig::default()
+    };
+    for (name, run) in six_cell_runners() {
+        for jobs in [1, 4] {
+            match run(&cfg, jobs) {
+                Err(DvsError::Io { op, .. }) => assert_eq!(op, "create dir", "{name}, jobs {jobs}"),
+                other => panic!("{name}, jobs {jobs}: expected a failed write, got {other:?}"),
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&blocker);
 }
 
 // ---- Process-boundary tests (the repro binary) ------------------------------

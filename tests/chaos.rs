@@ -249,11 +249,20 @@ fn fault_sweeps_are_jobs_invariant() {
     assert_eq!(sweep(1), sweep(4), "parallel fault sweep diverged from sequential");
 }
 
+/// The cells a run killed after `crash_at` completions leaves on disk at
+/// checkpoint cadence `cadence`: the last cadence point at or before the
+/// kill. The kill waits for the checkpoint writer, so that snapshot, the
+/// newest offered, is the one written — never an older one.
+fn persisted_at_kill(crash_at: usize, cadence: usize) -> usize {
+    crash_at / cadence * cadence
+}
+
 /// Chaos for the resilient executor: kill the sweep at seeded-random cell
 /// boundaries, resume from the checkpoint, and require the final report to
 /// be byte-identical to the uninterrupted run — across `--jobs {1,4}` on
-/// the resumed leg. This is the acceptance criterion of docs/resilience.md
-/// exercised as a randomized matrix.
+/// the resumed leg and checkpoint cadences 1, 2 and 3. This is the
+/// acceptance criterion of docs/resilience.md exercised as a randomized
+/// matrix.
 #[test]
 fn killed_sweeps_resume_byte_identically() {
     use dvs_bench::{
@@ -273,48 +282,56 @@ fn killed_sweeps_resume_byte_identically() {
     let clean = clean.report.to_json();
     for trial in 0..8u64 {
         // 6 cells in the tiny grid; kill after 1..=5 completions so the
-        // resumed leg always has both restored and fresh work to do.
+        // resumed leg always has fresh work to do, and restored work at
+        // every cadence point the kill passed.
         let crash_at = 1 + rng.next_below(5) as usize;
         let jobs = [1usize, 4][rng.next_below(2) as usize];
-        let path = dir.join(format!("ck_{trial}"));
-        let _ = std::fs::remove_file(&path);
-        let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
-            checkpoint: Some(CheckpointConfig {
-                path: path.to_string_lossy().into_owned(),
-                cadence: 1,
-                resume,
-            }),
-            faults,
-            ..ResilienceConfig::default()
-        };
+        for cadence in 1..=3 {
+            let path = dir.join(format!("ck_{trial}_{cadence}"));
+            let _ = std::fs::remove_file(&path);
+            let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
+                checkpoint: Some(CheckpointConfig {
+                    path: path.to_string_lossy().into_owned(),
+                    cadence,
+                    resume,
+                }),
+                faults,
+                ..ResilienceConfig::default()
+            };
 
-        let crash = ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() };
-        match run(jobs, &ck(false, crash)) {
-            Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
-                assert_eq!(completed, crash_at);
-                assert_eq!(total, 6);
+            let crash = ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() };
+            match run(jobs, &ck(false, crash)) {
+                Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
+                    assert_eq!(completed, crash_at);
+                    assert_eq!(total, 6);
+                }
+                other => panic!("expected an interrupted sweep, got {other:?}"),
             }
-            other => panic!("expected an interrupted sweep, got {other:?}"),
-        }
 
-        let resumed = run(jobs, &ck(true, ExecFaults::default())).expect("resumed run completes");
-        assert_eq!(resumed.accounting.cells_resumed, crash_at, "checkpoint under-captured");
-        assert_eq!(
-            resumed.report.to_json(),
-            clean,
-            "resume diverged (killed at {crash_at}, jobs {jobs})"
-        );
-        let _ = std::fs::remove_file(&path);
+            let resumed =
+                run(jobs, &ck(true, ExecFaults::default())).expect("resumed run completes");
+            assert_eq!(
+                resumed.accounting.cells_resumed,
+                persisted_at_kill(crash_at, cadence),
+                "checkpoint missed its last snapshot (killed at {crash_at}, cadence {cadence})"
+            );
+            assert_eq!(
+                resumed.report.to_json(),
+                clean,
+                "resume diverged (killed at {crash_at}, cadence {cadence}, jobs {jobs})"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }
 
 /// The same kill/resume chaos for the fleet layer: crash a fleet run at
 /// seeded-random shard boundaries, resume from the checkpoint, and require
 /// the sketch-reduced population report to be byte-identical to the
-/// uninterrupted run — across both engines and `--jobs {1,4}` on the
-/// resumed leg. Resumed shards are *not* re-simulated (their sketches come
-/// back from the checkpoint), so this also pins the sketch serialization
-/// round-trip.
+/// uninterrupted run — across both engines, `--jobs {1,4}` on the resumed
+/// leg and checkpoint cadences 1, 2 and 3. Resumed shards are *not*
+/// re-simulated (their sketches come back from the checkpoint), so this
+/// also pins the sketch serialization round-trip.
 #[test]
 fn killed_fleet_runs_resume_byte_identically() {
     use dvs_bench::{
@@ -337,46 +354,54 @@ fn killed_fleet_runs_resume_byte_identically() {
 
         for trial in 0..4u64 {
             // Kill after 1..=5 of the 6 shards so the resumed leg always has
-            // both restored and fresh work to do.
+            // fresh work to do, and restored work at every cadence point
+            // the kill passed.
             let crash_at = 1 + rng.next_below(5) as usize;
             let jobs = [1usize, 4][rng.next_below(2) as usize];
-            let path = dir.join(format!("ck_{engine:?}_{trial}"));
-            let _ = std::fs::remove_file(&path);
-            let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
-                checkpoint: Some(CheckpointConfig {
-                    path: path.to_string_lossy().into_owned(),
-                    cadence: 1,
-                    resume,
-                }),
-                faults,
-                ..ResilienceConfig::default()
-            };
+            for cadence in 1..=3 {
+                let path = dir.join(format!("ck_{engine:?}_{trial}_{cadence}"));
+                let _ = std::fs::remove_file(&path);
+                let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
+                    checkpoint: Some(CheckpointConfig {
+                        path: path.to_string_lossy().into_owned(),
+                        cadence,
+                        resume,
+                    }),
+                    faults,
+                    ..ResilienceConfig::default()
+                };
 
-            let killed = run_fleet_resilient(
-                &spec,
-                shards,
-                jobs,
-                engine,
-                &ck(false, ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() }),
-            );
-            match killed {
-                Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
-                    assert_eq!(completed, crash_at);
-                    assert_eq!(total, shards);
+                let crash = ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() };
+                match run_fleet_resilient(&spec, shards, jobs, engine, &ck(false, crash)) {
+                    Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
+                        assert_eq!(completed, crash_at);
+                        assert_eq!(total, shards);
+                    }
+                    other => panic!("expected an interrupted fleet run, got {other:?}"),
                 }
-                other => panic!("expected an interrupted fleet run, got {other:?}"),
-            }
 
-            let resumed =
-                run_fleet_resilient(&spec, shards, jobs, engine, &ck(true, ExecFaults::default()))
-                    .expect("resumed fleet run completes");
-            assert_eq!(resumed.accounting.cells_resumed, crash_at, "checkpoint under-captured");
-            assert_eq!(
-                resumed.report.to_json().expect("fleet reports serialize"),
-                clean,
-                "fleet resume diverged (engine {engine:?}, killed at {crash_at}, jobs {jobs})"
-            );
-            let _ = std::fs::remove_file(&path);
+                let resumed = run_fleet_resilient(
+                    &spec,
+                    shards,
+                    jobs,
+                    engine,
+                    &ck(true, ExecFaults::default()),
+                )
+                .expect("resumed fleet run completes");
+                assert_eq!(
+                    resumed.accounting.cells_resumed,
+                    persisted_at_kill(crash_at, cadence),
+                    "checkpoint missed its last snapshot \
+                     (engine {engine:?}, killed at {crash_at}, cadence {cadence})"
+                );
+                assert_eq!(
+                    resumed.report.to_json().expect("fleet reports serialize"),
+                    clean,
+                    "fleet resume diverged \
+                     (engine {engine:?}, killed at {crash_at}, cadence {cadence}, jobs {jobs})"
+                );
+                let _ = std::fs::remove_file(&path);
+            }
         }
     }
 }
