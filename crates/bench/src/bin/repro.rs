@@ -246,7 +246,7 @@ fn jobs() -> Vec<Job> {
                 let out =
                     run_compose_resilient(sweep::default_jobs(), &ResilienceConfig::default())
                         .expect("a compose sweep without checkpoints cannot be interrupted");
-                compose::render(&out.sweep) + &out.quarantine.render()
+                compose::render(&out.report.sweep) + &out.report.quarantine.render()
             },
         },
         Job {
@@ -702,9 +702,9 @@ fn run_compose(args: &[String]) -> DvsResult<(String, bool)> {
             Some(next) if !next.starts_with('-') => next.clone(),
             _ => "compose_report.json".to_string(),
         };
-        let json = serde_json::to_string_pretty(&out)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        write_text(Path::new(&path), &(json + "\n"))?;
+        // The emitted artifact is the byte-identity surface: identical for
+        // interrupted+resumed and uninterrupted runs at any --jobs value.
+        write_text(Path::new(&path), &(out.report.to_json() + "\n"))?;
         text.push_str(&format!("wrote {path}\n"));
     }
     Ok((text, out.degraded()))

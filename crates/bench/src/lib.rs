@@ -53,7 +53,8 @@ pub use fleet::{
 pub use fleetbench::{FleetBench, FleetThroughput, DEVICES_PER_MIN_FLOOR, FRAMES_PER_DEVICE};
 pub use resilient::{
     grid_fingerprint, run_compose_resilient, run_suite_resilient, tiny_suite, CheckpointConfig,
-    ExecFaults, ResilienceConfig, ResilientCompose, ResilientSweep, RetryPolicy, SweepReport,
+    ComposeReport, ExecFaults, ResilienceConfig, ResilientCompose, ResilientSweep, RetryPolicy,
+    SweepReport,
 };
 pub use suite::{run_suite, SuiteResult, SuiteRow};
 pub use sweep::{

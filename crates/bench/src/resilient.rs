@@ -827,7 +827,8 @@ pub fn tiny_suite() -> Vec<ScenarioSpec> {
 
 // ---- The resilient compose sweep -------------------------------------------
 
-/// A compose sweep run through the resilient executor.
+/// The deterministic artifact of a compose sweep: byte-identical for every
+/// worker count, and for a resumed run and the uninterrupted one.
 ///
 /// Unlike suite rows (which keep quarantined cells in place with zeroed
 /// metrics to preserve the table's shape), a quarantined compose scenario is
@@ -835,25 +836,47 @@ pub fn tiny_suite() -> Vec<ScenarioSpec> {
 /// cannot shift another scenario's values — and recorded in the quarantine
 /// list, which stays the authoritative exclusion record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ResilientCompose {
+pub struct ComposeReport {
     /// The measured scenarios, in suite order (quarantined ones omitted).
     pub sweep: ComposeSweep,
     /// Scenarios excluded after exhausting retries.
     pub quarantine: QuarantineReport,
+}
+
+impl ComposeReport {
+    /// The canonical JSON encoding — the artifact the byte-identity
+    /// guarantee is stated over.
+    pub fn to_json(&self) -> String {
+        // dvs-lint: allow(panic-escape, reason = "serde_json serialization of plain data structs with string keys cannot fail")
+        serde_json::to_string_pretty(self).expect("compose report serializes")
+    }
+}
+
+/// A compose sweep run through the resilient executor: the deterministic
+/// report plus run-shaped telemetry.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct ResilientCompose {
+    /// The deterministic artifact (rows + quarantine).
+    pub report: ComposeReport,
     /// The completion ledger.
     pub accounting: PartialAccounting,
+    /// Checkpoint files written during this run. A snapshot that a newer
+    /// one replaced before the writer took it is never written, so the
+    /// count depends on disk speed: at most one per cadence point plus the
+    /// final snapshot.
+    pub checkpoint_writes: usize,
 }
 
 impl ResilientCompose {
     /// Whether any scenario was quarantined (maps to `repro` exit code 2).
     pub fn degraded(&self) -> bool {
-        !self.quarantine.is_empty()
+        !self.report.quarantine.is_empty()
     }
 
     /// Renders the interference tables plus quarantine and accounting lines.
     pub fn render(&self) -> String {
-        let mut out = crate::compose::render(&self.sweep);
-        out.push_str(&self.quarantine.render());
+        let mut out = crate::compose::render(&self.report.sweep);
+        out.push_str(&self.report.quarantine.render());
         out.push_str(&self.accounting.render());
         out
     }
@@ -879,7 +902,7 @@ pub fn run_compose_resilient(jobs: usize, cfg: &ResilienceConfig) -> DvsResult<R
         // dvs-lint: allow(panic-escape, reason = "i ranges over 0..suite.len()")
         crate::compose::run_scenario(&suite[i], INTERFERENCE_BUDGET)
     };
-    let (slots, _writes) =
+    let (slots, checkpoint_writes) =
         execute_cells(n, jobs.max(1), &keys, fingerprint, cfg, start_slots, resumed, &work)?;
 
     let mut rows = Vec::with_capacity(n);
@@ -888,7 +911,8 @@ pub fn run_compose_resilient(jobs: usize, cfg: &ResilienceConfig) -> DvsResult<R
             rows.extend(row);
             Ok(())
         })?;
-    Ok(ResilientCompose { sweep: ComposeSweep { rows }, quarantine, accounting })
+    let report = ComposeReport { sweep: ComposeSweep { rows }, quarantine };
+    Ok(ResilientCompose { report, accounting, checkpoint_writes })
 }
 
 #[cfg(test)]
@@ -1153,7 +1177,7 @@ mod tests {
                 .collect(),
         };
         assert_eq!(
-            serde_json::to_string(&clean.sweep).unwrap(),
+            serde_json::to_string(&clean.report.sweep).unwrap(),
             serde_json::to_string(&direct).unwrap(),
             "clean resilient compose must match running each scenario directly"
         );
@@ -1168,10 +1192,10 @@ mod tests {
         };
         let out = run_compose_resilient(2, &cfg).unwrap();
         assert!(out.degraded());
-        assert_eq!(out.quarantine.len(), 1);
-        assert_eq!(out.quarantine.entries[0].cell_index, 0);
-        assert_eq!(out.quarantine.entries[0].attempts, 2);
-        assert_eq!(out.sweep.rows.len(), clean.sweep.rows.len() - 1);
+        assert_eq!(out.report.quarantine.len(), 1);
+        assert_eq!(out.report.quarantine.entries[0].cell_index, 0);
+        assert_eq!(out.report.quarantine.entries[0].attempts, 2);
+        assert_eq!(out.report.sweep.rows.len(), clean.report.sweep.rows.len() - 1);
         assert!(out.accounting.is_consistent());
         assert!(out.render().contains("quarantined cell 0"));
     }

@@ -15,8 +15,8 @@ use dvs_bench::{run_compose_resilient, ResilienceConfig};
 fn sweep(jobs: usize) -> ComposeSweep {
     let out = run_compose_resilient(jobs, &ResilienceConfig::default())
         .expect("a compose sweep without checkpoints completes");
-    assert!(!out.degraded(), "{}", out.quarantine.render());
-    out.sweep
+    assert!(!out.degraded(), "{}", out.report.quarantine.render());
+    out.report.sweep
 }
 
 #[test]

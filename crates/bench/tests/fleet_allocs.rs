@@ -1,5 +1,6 @@
-//! Allocations per device on the batched fleet path, and allocations and
-//! heap bytes per cell of a warm suite sweep.
+//! Allocations per device on the batched fleet path, allocations and heap
+//! bytes per cell of a warm suite sweep, and the exact simulated work of a
+//! fixed sweep and a fixed fleet.
 //!
 //! A shard keeps a pool of warm lanes — arenas, reports, traces and fault
 //! tables reused device after device — so what a device still allocates is
@@ -28,16 +29,31 @@
 //! its share of the rows. The byte ceiling is the runtime mirror of lint
 //! rule DVS-H002: a fresh arena per cell allocates about 37 kB per cell,
 //! far over it, while the allocation count alone would barely move.
+//!
+//! The event counts are exact: `CoreStats::events_processed` summed over
+//! every cell of the seed-1 suite75 buffer ladder (the sweep benchmark's
+//! pass) and over a fixed fleet population on both engines. A change that
+//! only makes the simulator faster leaves them equal; one that alters the
+//! simulated work moves them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use dvs_bench::sweepbench::{bench_specs, DEFAULT_LADDER};
 use dvs_bench::{
     run_fleet_shard, run_suite_resilient, FleetEngine, GridCache, ResilienceConfig, SweepMode,
+    BATCH_WIDTH,
 };
-use dvs_pipeline::RunArena;
-use dvs_workload::FleetSpec;
+use dvs_core::{DvsyncConfig, DvsyncPacer};
+use dvs_faults::named_profile;
+use dvs_metrics::RunReport;
+use dvs_pipeline::{
+    calibrate_spec_pooled, run_batch, BatchLane, FramePacer, PipelineConfig, RunArena, Simulator,
+    VsyncPacer,
+};
+use dvs_sim::stable_seed;
+use dvs_workload::{FleetSpec, FrameTrace};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -142,4 +158,89 @@ fn warm_suite_cells_stay_under_the_allocation_and_byte_ceilings() {
              {MAX_ALLOCS_PER_CELL} and {MAX_BYTES_PER_CELL} B)"
         );
     }
+}
+
+/// Events dispatched over the five cells (VSync at 3 buffers, D-VSync at
+/// each ladder depth) of every seed-1 suite75 scenario, each cell run as
+/// its calibrated segments.
+const SUITE75_LADDER_EVENTS: u64 = 533_317;
+
+#[test]
+fn suite75_ladder_dispatches_an_exact_event_count() {
+    let mut specs = bench_specs(false);
+    for s in &mut specs {
+        s.seed = stable_seed(&format!("perfbench/1/{}", s.name));
+    }
+    let mut arena = RunArena::new();
+    let mut out = RunReport::default();
+    let mut events = 0;
+    for spec in &specs {
+        let fitted = calibrate_spec_pooled(spec, 3, &mut arena);
+        let segments = fitted.spec.segments_of(&fitted.trace);
+        for buffers in std::iter::once(3).chain(DEFAULT_LADDER) {
+            let cfg = PipelineConfig::new(spec.rate_hz, buffers);
+            let sim = Simulator::new(&cfg);
+            for segment in &segments {
+                let mut pacer: Box<dyn FramePacer> = if buffers == 3 {
+                    Box::new(VsyncPacer::new())
+                } else {
+                    Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(buffers)))
+                };
+                let stats = sim.try_run_into(segment, pacer.as_mut(), &mut arena, &mut out);
+                events += stats.expect("calibrated segments validate").events_processed;
+            }
+        }
+    }
+    assert_eq!(events, SUITE75_LADDER_EVENTS, "the suite75 ladder's simulated work changed");
+}
+
+/// Events dispatched over the 2,400 devices of the allocation test's
+/// population, on either fleet engine.
+const FLEET_EVENTS: u64 = 440_052;
+
+#[test]
+fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
+    let spec = FleetSpec::default_population("allocs", 2_400, 60);
+    let mut arena = RunArena::new();
+    let mut out = RunReport::default();
+    let mut trace = FrameTrace::new(String::new(), 0);
+    let mut per_device = 0;
+    // The batched engine's buckets: devices of one (rate, buffers) cell,
+    // flushed through the batch kernel at `BATCH_WIDTH` lanes.
+    let mut buckets: BTreeMap<(u32, usize), Vec<BatchLane<DvsyncPacer>>> = BTreeMap::new();
+    let mut batched = 0;
+    let mut flush = |(rate_hz, buffers): (u32, usize), lanes: &mut Vec<BatchLane<DvsyncPacer>>| {
+        let stats = run_batch(&PipelineConfig::new(rate_hz, buffers), lanes);
+        batched += stats.expect("generated fleet traces validate").events_processed;
+        lanes.clear();
+    };
+    for i in 0..spec.devices {
+        let dev = spec.device(i).expect("index inside the population");
+        let cfg = PipelineConfig::new(dev.rate_hz, dev.buffers);
+        let plan = if dev.is_clean() {
+            None
+        } else {
+            named_profile(dev.fault_profile, dev.fault_seed_key(&spec.name))
+        };
+        let pacer = || DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
+        dev.trace_into(&mut trace);
+        let stats = Simulator::new(&cfg).with_faults(plan.as_ref()).try_run_into(
+            &trace,
+            &mut pacer(),
+            &mut arena,
+            &mut out,
+        );
+        per_device += stats.expect("generated fleet traces validate").events_processed;
+        let key = (dev.rate_hz, dev.buffers);
+        let lanes = buckets.entry(key).or_default();
+        lanes.push(BatchLane::new(trace.clone(), plan, pacer()));
+        if lanes.len() == BATCH_WIDTH {
+            flush(key, lanes);
+        }
+    }
+    for (&key, lanes) in &mut buckets {
+        flush(key, lanes);
+    }
+    assert_eq!(per_device, FLEET_EVENTS, "the per-device engine's simulated work changed");
+    assert_eq!(batched, FLEET_EVENTS, "the batched engine's simulated work changed");
 }

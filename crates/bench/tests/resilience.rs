@@ -109,13 +109,12 @@ fn torn_checkpoint_is_rejected_on_resume() {
 }
 
 /// What the finished-run and write-failure tests compare: the run's
-/// byte-identity artifact, its ledger, and the checkpoint files it wrote
-/// (`None` where the runner does not report them).
+/// byte-identity artifact, its ledger, and the checkpoint files it wrote.
 #[derive(Debug)]
 struct Outcome {
     report: String,
     accounting: PartialAccounting,
-    writes: Option<usize>,
+    writes: usize,
 }
 
 type Runner = fn(&ResilienceConfig, usize) -> Result<Outcome, DvsError>;
@@ -127,18 +126,18 @@ fn six_cell_runners() -> [(&'static str, Runner); 3] {
     [
         ("sweep", |cfg, jobs| {
             let out = tiny_run(cfg, jobs)?;
-            let writes = Some(out.checkpoint_writes);
+            let writes = out.checkpoint_writes;
             Ok(Outcome { report: out.report.to_json(), accounting: out.accounting, writes })
         }),
         ("compose", |cfg, jobs| {
             let out = run_compose_resilient(jobs, cfg)?;
-            let report = serde_json::to_string(&(&out.sweep, &out.quarantine)).unwrap();
-            Ok(Outcome { report, accounting: out.accounting, writes: None })
+            let writes = out.checkpoint_writes;
+            Ok(Outcome { report: out.report.to_json(), accounting: out.accounting, writes })
         }),
         ("fleet", |cfg, jobs| {
             let out =
                 run_fleet_resilient(&FleetSpec::tiny(96, 24), 6, jobs, FleetEngine::Batched, cfg)?;
-            let writes = Some(out.checkpoint_writes);
+            let writes = out.checkpoint_writes;
             Ok(Outcome { report: out.report.to_json()?, accounting: out.accounting, writes })
         }),
     ]
@@ -168,7 +167,7 @@ fn finished_runs_resume_every_cell_and_execute_nothing() {
         let resumed = run(&ck(true, last_cell_panics), 2).expect("the resume finishes");
         assert_eq!(resumed.accounting.cells_resumed, 6, "{name}: the checkpoint left out its tail");
         assert_eq!(resumed.accounting.cells_quarantined, 0, "{name}: a restored cell ran again");
-        assert_eq!(resumed.writes.unwrap_or(0), 0, "{name}: a resume with nothing to do wrote");
+        assert_eq!(resumed.writes, 0, "{name}: a resume with nothing to do wrote");
         assert_eq!(resumed.report, finished.report, "{name}: the resumed report differs");
         let _ = std::fs::remove_file(&path);
     }

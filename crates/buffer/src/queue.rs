@@ -213,6 +213,7 @@ impl BufferQueue {
     ///
     /// Returns `None` when every buffer is in flight — the back-pressure that
     /// blocks rendering in both VSync and D-VSync architectures.
+    #[inline]
     pub fn dequeue_free(&mut self) -> Option<SlotId> {
         if self.free == 0 {
             return None;
@@ -229,6 +230,7 @@ impl BufferQueue {
     ///
     /// Returns [`QueueError::NotDequeued`] if the slot was not previously
     /// dequeued, or [`QueueError::UnknownSlot`] if it does not exist.
+    #[inline]
     pub fn queue(&mut self, slot: SlotId, meta: FrameMeta, now: SimTime) -> Result<(), QueueError> {
         let state = self.slots.get_mut(slot.0).ok_or(QueueError::UnknownSlot(slot))?;
         if *state != SlotState::Dequeued {
@@ -242,6 +244,7 @@ impl BufferQueue {
     }
 
     /// Peeks at the oldest queued buffer without consuming it.
+    #[inline]
     pub fn peek_next(&self) -> Option<(FrameMeta, SimTime)> {
         let idx = *self.fifo.front()?;
         match &self.slots[idx] {
@@ -271,6 +274,7 @@ impl BufferQueue {
     /// assert!(q.has_eligible(SimTime::from_millis(5)));
     /// # Ok::<(), dvs_buffer::QueueError>(())
     /// ```
+    #[inline]
     pub fn has_eligible(&self, deadline: SimTime) -> bool {
         self.peek_next().is_some_and(|(_, queued_at)| queued_at <= deadline)
     }
@@ -279,6 +283,7 @@ impl BufferQueue {
     /// release the previous front back to the free pool.
     ///
     /// Returns `None` when nothing is queued — at a VSync tick this is a jank.
+    #[inline]
     pub fn acquire(&mut self, _now: SimTime) -> Option<AcquiredBuffer> {
         let idx = self.fifo.pop_front()?;
         let (meta, queued_at) = match std::mem::replace(&mut self.slots[idx], SlotState::Front) {
@@ -307,6 +312,7 @@ impl BufferQueue {
 
     /// Consumer side: acquire only if the oldest queued buffer satisfies
     /// `pred` (e.g. the compositor latch deadline, or the LTPO rate check).
+    #[inline]
     pub fn acquire_if<F>(&mut self, now: SimTime, pred: F) -> Option<AcquiredBuffer>
     where
         F: FnOnce(&FrameMeta, SimTime) -> bool,

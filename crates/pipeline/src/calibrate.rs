@@ -28,7 +28,10 @@
 //! segments it re-simulates — the same additions, in the same order, as
 //! [`RunReport::mean_latency_ms`](dvs_metrics::RunReport::mean_latency_ms)
 //! over the merged report. A caller such as the sweep's grid cache thus
-//! gets the baseline cell without running it again.
+//! gets the baseline cell without running it again. The fitted trace comes
+//! from a second pooled trace: when a measurement that generated its frames
+//! becomes the search's best, the memo swaps them out of the working trace
+//! before a later measurement overwrites them.
 
 use std::ops::Range;
 
@@ -93,56 +96,15 @@ pub fn calibrate_spec(spec: &ScenarioSpec, buffers: usize) -> CalibrationOutcome
 /// measured FDPS and latency and `iterations` are bit-identical to
 /// measuring every rate in full, and to [`calibrate_spec`]: the search
 /// sequence is deterministic and the arena is scratch. The returned trace
-/// is the one the best measurement generated, regenerated only when a
-/// later measurement overwrote it.
+/// is the one the best measurement's frames were generated into, generated
+/// again only when neither pooled trace still holds them.
 pub fn calibrate_spec_pooled(
     spec: &ScenarioSpec,
     buffers: usize,
     arena: &mut RunArena,
 ) -> CalibrationOutcome {
-    let target = spec.paper_baseline_fdps;
     let mut memo = Memo::new(spec, buffers);
-    if target <= 0.0 {
-        // A zero rate is never memoized, so its measurement always leaves
-        // its own frames in the pooled trace.
-        let measured = memo.measure(0.0, arena);
-        return memo.into_outcome(measured, 0);
-    }
-
-    // Bracket the target: grow `hi` until the measured FDPS exceeds it.
-    let mut lo = 0.0f64;
-    let mut hi = (target * 0.8).max(0.25);
-    let mut iterations = 0usize;
-    let mut at_hi = memo.measure(hi, arena);
-    while at_hi.fdps < target && hi < spec.rate_hz as f64 {
-        lo = hi;
-        hi *= 2.0;
-        at_hi = memo.measure(hi, arena);
-        iterations += 1;
-        if iterations > 16 {
-            break;
-        }
-    }
-
-    // Bisect.
-    let mut best = at_hi;
-    for _ in 0..18 {
-        iterations += 1;
-        let mid = 0.5 * (lo + hi);
-        let measured = memo.measure(mid, arena);
-        let f = measured.fdps;
-        if (f - target).abs() < (best.fdps - target).abs() {
-            best = measured;
-        }
-        if (f - target).abs() / target < 0.03 {
-            break;
-        }
-        if f < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    let (best, iterations) = memo.search(arena);
     memo.into_outcome(best, iterations)
 }
 
@@ -152,6 +114,9 @@ struct Measurement {
     rate: f64,
     fdps: f64,
     latency_ms: f64,
+    /// The memoized measurement whose frames this one's are (`None` for a
+    /// zero rate, which is never memoized).
+    run: Option<usize>,
 }
 
 /// One animation segment of a memoized measurement.
@@ -202,8 +167,14 @@ struct Memo {
     trace: FrameTrace,
     segment: FrameTrace,
     /// The memoized measurement whose frames `trace` holds (`None` after a
-    /// zero-rate measurement, which is never memoized).
+    /// zero-rate measurement, which is never memoized, and while `trace`
+    /// holds no measurement's frames).
     traced: Option<usize>,
+    /// The frames of the search's best measurement so far, swapped out of
+    /// `trace` when a measurement that generated them became the best, and
+    /// the memoized measurement they belong to (`None` while empty).
+    kept: FrameTrace,
+    kept_run: Option<usize>,
 }
 
 impl Memo {
@@ -217,7 +188,58 @@ impl Memo {
             trace: FrameTrace::new(String::new(), spec.rate_hz),
             segment: FrameTrace::new(String::new(), spec.rate_hz),
             traced: None,
+            kept: FrameTrace::new(String::new(), spec.rate_hz),
+            kept_run: None,
         }
+    }
+
+    /// The bisection for the key-frame rate whose VSync baseline measures
+    /// the spec's paper FDPS: the best measurement and the steps taken.
+    fn search(&mut self, arena: &mut RunArena) -> (Measurement, usize) {
+        let target = self.spec.paper_baseline_fdps;
+        if target <= 0.0 {
+            // A zero rate is never memoized, so its measurement always
+            // leaves its own frames in the pooled trace.
+            return (self.measure(0.0, arena), 0);
+        }
+
+        // Bracket the target: grow `hi` until the measured FDPS exceeds it.
+        let mut lo = 0.0f64;
+        let mut hi = (target * 0.8).max(0.25);
+        let mut iterations = 0usize;
+        let mut at_hi = self.measure(hi, arena);
+        while at_hi.fdps < target && hi < self.spec.rate_hz as f64 {
+            lo = hi;
+            hi *= 2.0;
+            at_hi = self.measure(hi, arena);
+            iterations += 1;
+            if iterations > 16 {
+                break;
+            }
+        }
+
+        // Bisect.
+        let mut best = at_hi;
+        self.keep(best);
+        for _ in 0..18 {
+            iterations += 1;
+            let mid = 0.5 * (lo + hi);
+            let measured = self.measure(mid, arena);
+            let f = measured.fdps;
+            if (f - target).abs() < (best.fdps - target).abs() {
+                best = measured;
+                self.keep(best);
+            }
+            if (f - target).abs() / target < 0.03 {
+                break;
+            }
+            if f < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (best, iterations)
     }
 
     /// The segmented VSync FDPS and mean latency of the scenario at
@@ -289,15 +311,25 @@ impl Memo {
 
         let fdps = dvs_metrics::fdps(janks, display_time);
         let latency_ms = if records == 0 { 0.0 } else { latency_sum / records as f64 };
-        let measured = Measurement { rate, fdps, latency_ms };
+        let run = trials.then_some(self.runs.len());
+        let measured = Measurement { rate, fdps, latency_ms, run };
+        self.traced = run;
         if trials {
-            self.traced = Some(self.runs.len());
             self.runs.push(measured);
         } else {
-            self.traced = None;
             self.outcomes.truncate(base);
         }
         measured
+    }
+
+    /// The search made `best` its best measurement: when the pooled trace
+    /// holds its frames, they move to `kept` (a swap, not a copy) before a
+    /// later measurement overwrites them.
+    fn keep(&mut self, best: Measurement) {
+        if best.run.is_some() && best.run == self.traced {
+            std::mem::swap(&mut self.trace, &mut self.kept);
+            std::mem::swap(&mut self.traced, &mut self.kept_run);
+        }
     }
 
     /// The key-frame probability of the rate measured last.
@@ -311,19 +343,36 @@ impl Memo {
         &self.outcomes[run * n..(run + 1) * n]
     }
 
-    /// The outcome of a search whose best measurement is `best`.
-    ///
-    /// The pooled trace holds the frames of the last generated
-    /// measurement. When that run decides every trial like the best rate,
-    /// they are the best rate's frames; otherwise the trace is regenerated.
-    fn into_outcome(mut self, best: Measurement, iterations: usize) -> CalibrationOutcome {
-        self.spec.cost.long_rate_per_sec = best.rate;
+    /// Whether the frames of memoized measurement `held` are the frames
+    /// the rate measured last generates: `held` decides every trial as
+    /// that rate does.
+    fn frames_match(&self, held: Option<usize>) -> bool {
         let p = self.probability();
-        let holds_best = match self.traced {
-            Some(run) => best.rate > 0.0 && self.run_outcomes(run).iter().all(|o| o.admits(p)),
-            None => best.rate == 0.0,
-        };
-        if !holds_best {
+        held.is_some_and(|run| self.run_outcomes(run).iter().all(|o| o.admits(p)))
+    }
+
+    /// Sets the spec to the best measurement's rate and moves that rate's
+    /// frames into the pooled trace, from `kept` or left in place. Returns
+    /// `false` when neither trace holds them.
+    fn take_best_frames(&mut self, best: &Measurement) -> bool {
+        self.spec.cost.long_rate_per_sec = best.rate;
+        if best.rate == 0.0 {
+            // Only a zero target measures a zero rate, once, so its frames
+            // are the ones generated last.
+            return self.traced.is_none();
+        }
+        if self.frames_match(self.kept_run) {
+            std::mem::swap(&mut self.trace, &mut self.kept);
+            std::mem::swap(&mut self.traced, &mut self.kept_run);
+        }
+        self.frames_match(self.traced)
+    }
+
+    /// The outcome of a search whose best measurement is `best`: its frames
+    /// come from whichever pooled trace holds them, and are generated again
+    /// only when neither does.
+    fn into_outcome(mut self, best: Measurement, iterations: usize) -> CalibrationOutcome {
+        if !self.take_best_frames(&best) {
             TraceGenerator::new(&self.spec).generate_into(&mut self.trace);
         }
         CalibrationOutcome {
@@ -415,6 +464,34 @@ mod tests {
         // 2.0 + 1e-12 and the second 2.0 decide every trial like the first
         // 2.0, so they were not memoized again; 1e-9, 3.0 and 2.5 were.
         assert_eq!(memo.runs.len(), 4);
+    }
+
+    #[test]
+    fn searches_hand_over_the_best_frames_they_generated() {
+        // A search that pooled only the last generated trace generated the
+        // fitted trace again at the end of 10 of these 21 calibrations.
+        // With the best measurement's frames kept, only a best measurement
+        // that reused an earlier run held by neither trace needs that.
+        let mut arena = RunArena::new();
+        let (mut calibrations, mut generated_again) = (0, 0);
+        for (rate_hz, cost) in [
+            (60, CostProfile::scattered(1.0)),
+            (90, CostProfile::scattered(2.0)),
+            (120, CostProfile::clustered(3.0)),
+        ] {
+            for target in [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0] {
+                let spec = ScenarioSpec::new("kept", rate_hz, 600, cost).with_paper_fdps(target);
+                let mut memo = Memo::new(&spec, 3);
+                let (best, _) = memo.search(&mut arena);
+                calibrations += 1;
+                if memo.take_best_frames(&best) {
+                    assert_eq!(memo.trace, memo.spec.generate(), "{rate_hz} Hz, target {target}");
+                } else {
+                    generated_again += 1;
+                }
+            }
+        }
+        assert_eq!((generated_again, calibrations), (2, 21));
     }
 
     #[test]

@@ -679,17 +679,6 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         }
     }
 
-    fn eligible_tick(&mut self, timeline: &VsyncTimeline, queued_at: SimTime) -> u64 {
-        let target = queued_at + self.cfg.latch();
-        if target.as_nanos() == 0 {
-            return 0;
-        }
-        let probe = SimTime::from_nanos(target.as_nanos() - 1);
-        // Frames queue in frame order, so successive probes rise and the
-        // cursor answers most of them without a search.
-        self.tick.at(timeline, probe).next.0
-    }
-
     /// Consumes the state, completing the borrowed output report. Identical
     /// across engines by construction — this is the single assembly path,
     /// and (unlike a return-by-value report) it allocates nothing once the
@@ -700,15 +689,24 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         self.out.max_queued = self.queue.max_queued_observed();
         self.out.mode_transitions = self.pacer.take_transitions();
 
-        // Collect presented frames into records (one pre-sized batch).
-        self.out.records.reserve(self.presented);
-        for idx in 0..self.frames.len() {
-            let Some(s) = self.frames[idx] else { continue };
+        // Presented frames become records in one pass over the frame
+        // states, classified as they are built. The queue is FIFO in frame
+        // order, so frame order is present order and the jank scan can run
+        // alongside; a run whose presents leave frame order is sorted
+        // stably and classified again (the sort allocates past 20 records).
+        let mut classify = Classifier::new(timeline);
+        let latch = self.cfg.latch();
+        let RunReport { records, janks, .. } = &mut *self.out;
+        records.reserve(self.presented);
+        let (mut in_order, mut last_tick) = (true, 0);
+        for (idx, (s, cost)) in self.frames.iter().zip(&self.trace.frames).enumerate() {
+            let Some(s) = s else { continue };
             let (Some((ptick, ptime)), Some(queued_at)) = (s.present, s.queued_at) else {
                 continue;
             };
-            let cost = self.trace.frames[idx];
-            let record = FrameRecord {
+            in_order &= last_tick <= ptick;
+            last_tick = ptick;
+            let mut record = FrameRecord {
                 seq: idx as u64,
                 trigger: s.trigger,
                 basis: s.basis,
@@ -716,41 +714,20 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
                 queued_at,
                 present: ptime,
                 present_tick: ptick,
-                eligible_tick: self.eligible_tick(timeline, queued_at),
-                kind: FrameKind::Direct, // classified below
+                eligible_tick: eligible_tick(&mut self.tick, timeline, queued_at + latch),
+                kind: FrameKind::Direct,
                 ui_cost: cost.ui,
                 rs_cost: cost.rs,
             };
-            self.out.records.push(record);
+            record.kind = classify.next(janks, &record);
+            records.push(record);
         }
-
-        // Classification: the first frame presented after a jank is the one
-        // the screen waited for — a drop. A frame whose end-to-end latency
-        // exceeds the two-period pipeline depth waited behind earlier frames
-        // (in the queue, or blocked on a buffer): stuffing. The 20 % margin
-        // tolerates clock jitter.
-        let stuffed_threshold = timeline.period_at(0).mul_f64(2.2);
-        let RunReport { records, janks, .. } = &mut *self.out;
-        // The queue is FIFO in frame order, so records collected in frame
-        // order are already in present order; the stable sort (and the
-        // scratch buffer it allocates past 20 records) is only a fallback.
-        if !records.is_sorted_by_key(|r| r.present_tick) {
+        if !in_order {
             records.sort_by_key(|r| r.present_tick);
-        }
-        let mut ji = 0usize;
-        for r in records.iter_mut() {
-            let mut dropped = false;
-            while ji < janks.len() && janks[ji].tick < r.present_tick {
-                dropped = true;
-                ji += 1;
+            let mut classify = Classifier::new(timeline);
+            for r in records.iter_mut() {
+                r.kind = classify.next(janks, r);
             }
-            r.kind = if dropped {
-                FrameKind::Dropped
-            } else if r.latency() > stuffed_threshold {
-                FrameKind::Stuffed
-            } else {
-                FrameKind::Direct
-            };
         }
 
         if let Some(first) = self.first_present_tick {
@@ -761,6 +738,50 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
         } else {
             self.out.display_time = SimDuration::ZERO;
             self.out.ticks_active = 0;
+        }
+    }
+}
+
+/// The first tick a buffer can latch at, for a buffer whose latch deadline
+/// (queue time plus the compose latch) is `target`.
+fn eligible_tick(tick: &mut TickCursor, timeline: &VsyncTimeline, target: SimTime) -> u64 {
+    if target.as_nanos() == 0 {
+        return 0;
+    }
+    let probe = SimTime::from_nanos(target.as_nanos() - 1);
+    // Frames queue in frame order, so successive probes rise and the cursor
+    // answers most of them without a search.
+    tick.at(timeline, probe).next.0
+}
+
+/// Classifies records taken in present order. The first frame presented
+/// after a jank is the one the screen waited for — a drop. A frame whose
+/// end-to-end latency exceeds the two-period pipeline depth waited behind
+/// earlier frames (in the queue, or blocked on a buffer): stuffing. The
+/// 20 % margin tolerates clock jitter.
+struct Classifier {
+    stuffed_threshold: SimDuration,
+    /// Janks already passed by an earlier record.
+    janks_seen: usize,
+}
+
+impl Classifier {
+    fn new(timeline: &VsyncTimeline) -> Self {
+        Classifier { stuffed_threshold: timeline.period_at(0).mul_f64(2.2), janks_seen: 0 }
+    }
+
+    /// The kind of `record`, the next record in present order.
+    fn next(&mut self, janks: &[JankEvent], record: &FrameRecord) -> FrameKind {
+        let seen = self.janks_seen;
+        while janks.get(self.janks_seen).is_some_and(|j| j.tick < record.present_tick) {
+            self.janks_seen += 1;
+        }
+        if self.janks_seen > seen {
+            FrameKind::Dropped
+        } else if record.latency() > self.stuffed_threshold {
+            FrameKind::Stuffed
+        } else {
+            FrameKind::Direct
         }
     }
 }
@@ -849,5 +870,65 @@ impl<'a, F: FaultView> PipeState<'a, F> {
     /// Consumes the state, completing the borrowed output report.
     pub(crate) fn finish(self) {
         self.surface.finish(&self.timeline);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pacer::VsyncPacer;
+    use dvs_workload::FrameCost;
+
+    /// No simulated run presents out of frame order, so `finish`'s
+    /// fallback is driven here directly: four frames presented at ticks
+    /// 3, 6, 5 and 9 (frames 1 and 2 swapped), with janks at ticks 4, 7
+    /// and 8. Classified in frame order, frame 1 would take the jank at
+    /// tick 4; in present order frame 2 does.
+    #[test]
+    fn presents_out_of_frame_order_are_sorted_then_classified() {
+        let cfg = PipelineConfig::new(60, 3);
+        let timeline = cfg.build_timeline();
+        let mut trace = FrameTrace::new("out-of-order", 60);
+        for _ in 0..4 {
+            trace.push(FrameCost::new(SimDuration::from_millis(2), SimDuration::from_millis(5)));
+        }
+        let mut pacer = VsyncPacer::new();
+        let mut arena = RunArena::new();
+        let mut out = RunReport::default();
+        let (scratch, _, faults) = arena.split();
+        let mut s = SurfaceState::new(&cfg, &trace, &mut pacer, faults, scratch, &mut out);
+        // (present tick, latency in ms) per frame; 2.2 periods is 36.7 ms.
+        for (frame, (tick, latency_ms)) in
+            [(3, 20), (6, 40), (5, 20), (9, 20)].into_iter().enumerate()
+        {
+            let present = timeline.tick_time(tick);
+            let basis = present - SimDuration::from_millis(latency_ms);
+            s.frames[frame] = Some(FrameState {
+                trigger: basis,
+                basis,
+                content: basis,
+                slot: None,
+                queued_at: Some(basis),
+                present: Some((tick, present)),
+            });
+        }
+        for tick in [4, 7, 8] {
+            s.out.janks.push(JankEvent { tick, time: timeline.tick_time(tick) });
+        }
+        s.presented = 4;
+        (s.first_present_tick, s.last_present_tick) = (Some(3), 9);
+        s.finish(&timeline);
+
+        let got: Vec<(u64, u64, FrameKind)> =
+            out.records.iter().map(|r| (r.seq, r.present_tick, r.kind)).collect();
+        assert_eq!(
+            got,
+            [
+                (0, 3, FrameKind::Direct),
+                (2, 5, FrameKind::Dropped),
+                (1, 6, FrameKind::Stuffed),
+                (3, 9, FrameKind::Dropped),
+            ]
+        );
     }
 }

@@ -17,6 +17,12 @@
 //! probes vs compiled dense tables), equality here cross-checks the fault
 //! compilation too.
 //!
+//! Both engines share the one pass that assembles and classifies frame
+//! records, so byte equality cannot catch a fault there. Every report this
+//! wall compares, and each surface of a contended composite run, is also
+//! held to the classification rule applied on its own: records sorted
+//! stably by present tick, a jank scan, then the 2.2-period threshold.
+//!
 //! The same wall holds baseline calibration, which reuses segment results
 //! across the rates of one search, bit-identical to a search that measures
 //! every rate with a full segmented run, and whose handed-over trace and
@@ -28,14 +34,48 @@ use dvs_bench::suite75;
 use dvs_bench::sweep::SweepEngine;
 use dvs_core::{DvsyncConfig, DvsyncPacer, WatchdogConfig};
 use dvs_faults::{FaultEvent, FaultPlan, StochasticFault, StochasticKind};
+use dvs_metrics::{FrameKind, RunReport};
 use dvs_pipeline::{
-    calibrate_spec_pooled, run_segmented, FramePacer, PipelineConfig, RunArena, SimCore, Simulator,
-    VsyncPacer,
+    calibrate_spec_pooled, run_segmented, CompositeSim, FramePacer, PipelineConfig, RunArena,
+    SimCore, Simulator, SurfaceRun, VsyncPacer,
 };
 use dvs_sim::{stable_seed, SimDuration};
 use dvs_workload::{scenarios, CostProfile, FrameCost, FrameTrace, ScenarioSpec};
 
-/// Runs one trace on the given engine and serializes the full report.
+/// Recomputes every record's kind by the two-pass rule and requires the
+/// report's kinds to match: sort the records stably by present tick; a
+/// record that passes a jank on its way (one before its present tick) was
+/// dropped; else one whose latency exceeds 2.2 panel periods was stuffed;
+/// else it was direct. Also requires the records in present order, which
+/// the simulator's one-pass assembly relies on. `panel` is the
+/// configuration the panel timeline was built from.
+fn assert_kinds_follow_the_two_pass_rule(name: &str, report: &RunReport, panel: &PipelineConfig) {
+    assert!(
+        report.records.is_sorted_by_key(|r| r.present_tick),
+        "{name}: records are out of present order"
+    );
+    let mut sorted = report.records.clone();
+    sorted.sort_by_key(|r| r.present_tick);
+    let threshold = panel.build_timeline().period_at(0).mul_f64(2.2);
+    let mut janks = report.janks.iter().peekable();
+    for (got, r) in report.records.iter().zip(&sorted) {
+        let mut dropped = false;
+        while janks.next_if(|j| j.tick < r.present_tick).is_some() {
+            dropped = true;
+        }
+        let want = if dropped {
+            FrameKind::Dropped
+        } else if r.latency() > threshold {
+            FrameKind::Stuffed
+        } else {
+            FrameKind::Direct
+        };
+        assert_eq!((got.seq, got.kind), (r.seq, want), "{name}: frame {} misclassified", r.seq);
+    }
+}
+
+/// Runs one trace on the given engine, checks its frame kinds, and
+/// serializes the full report.
 fn report_json(
     trace: &FrameTrace,
     buffers: usize,
@@ -45,6 +85,7 @@ fn report_json(
 ) -> String {
     let cfg = PipelineConfig::new(trace.rate_hz, buffers);
     let report = Simulator::new(&cfg).with_core(core).with_faults(plan).run(trace, pacer);
+    assert_kinds_follow_the_two_pass_rule(&format!("{} on {core:?}", trace.name), &report, &cfg);
     serde_json::to_string(&report).expect("reports serialize")
 }
 
@@ -130,6 +171,52 @@ fn watchdog_mode_transitions_replay_identically_across_cores() {
         json.contains("mode_transitions\":[{"),
         "the overload burst must produce mode transitions for this test to mean anything"
     );
+}
+
+#[test]
+fn contended_composite_surfaces_follow_the_two_pass_rule() {
+    // Three suite75 surfaces under three pacers, contending for one latch
+    // per refresh: deferred latches add janks that no single-pipeline run
+    // sees. Every surface's kinds must follow the rule on both engines.
+    let traces: Vec<FrameTrace> =
+        suite75::bench_suite().iter().step_by(25).take(3).map(|s| s.generate()).collect();
+    let panel = PipelineConfig::new(traces[0].rate_hz, 3);
+    let cfgs: Vec<PipelineConfig> =
+        [3, 4, 5].map(|buffers| PipelineConfig::new(panel.rate_hz, buffers)).to_vec();
+    for core in [SimCore::EventHeap, SimCore::Reference] {
+        let mut pacers: Vec<Box<dyn FramePacer>> = vec![
+            Box::new(VsyncPacer::new()),
+            Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(4))),
+            Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(5))),
+        ];
+        let mut surfaces: Vec<SurfaceRun> = traces
+            .iter()
+            .zip(&cfgs)
+            .zip(&mut pacers)
+            .enumerate()
+            .map(|(i, ((trace, cfg), pacer))| SurfaceRun {
+                cfg,
+                trace,
+                pacer: pacer.as_mut(),
+                plan: None,
+                priority: i as u8,
+            })
+            .collect();
+        let (reports, stats) = CompositeSim::new(&panel)
+            .with_core(core)
+            .with_budget(1)
+            .try_run(&mut surfaces, None)
+            .expect("valid composite");
+        assert!(stats.deferred_latches.iter().any(|&d| d > 0), "budget 1 never contended");
+        for (report, trace) in reports.iter().zip(&traces) {
+            let name = format!("composite surface {} on {core:?}", trace.name);
+            assert_kinds_follow_the_two_pass_rule(&name, report, &panel);
+        }
+        for kind in [FrameKind::Direct, FrameKind::Stuffed, FrameKind::Dropped] {
+            let seen = reports.iter().flat_map(|r| &r.records).any(|r| r.kind == kind);
+            assert!(seen, "no {kind:?} frame on {core:?}: the rule went unexercised");
+        }
+    }
 }
 
 #[test]

@@ -170,8 +170,8 @@ fn compose_sweep_is_jobs_invariant() {
     let run = |jobs| {
         let out = dvs_bench::run_compose_resilient(jobs, &dvs_bench::ResilienceConfig::default())
             .expect("a compose sweep without checkpoints completes");
-        assert!(!out.degraded(), "{}", out.quarantine.render());
-        serde_json::to_string(&out.sweep).unwrap()
+        assert!(!out.degraded(), "{}", out.report.quarantine.render());
+        serde_json::to_string(&out.report.sweep).unwrap()
     };
     assert_eq!(run(1), run(4), "compose sweep must not depend on --jobs");
 }
