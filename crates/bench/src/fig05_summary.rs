@@ -5,7 +5,6 @@
 //! GLES) 3.5 % / 7.8 %; Mate 60 Pro (120 Hz, GLES) 6.3 % / 20.8 %; Mate 60
 //! Pro (120 Hz, Vulkan) 7.0 % / 27.5 %.
 
-use crate::suite::run_vsync;
 use crate::sweep::SweepEngine;
 use dvs_pipeline::calibrate_spec;
 use dvs_workload::{scenarios, ScenarioSpec};
@@ -25,9 +24,9 @@ pub struct PlatformFd {
 }
 
 fn measure(platform: &str, specs: &[ScenarioSpec], baseline_buffers: usize) -> PlatformFd {
+    // Calibration's best measurement is the fitted spec's VSync baseline.
     let fds: Vec<f64> = SweepEngine::with_default_jobs().run(specs.len(), |i| {
-        let fitted = calibrate_spec(&specs[i], baseline_buffers).spec;
-        run_vsync(&fitted, baseline_buffers).fd_fraction() * 100.0
+        calibrate_spec(&specs[i], baseline_buffers).baseline.fd_fraction() * 100.0
     });
     PlatformFd {
         platform: platform.to_string(),

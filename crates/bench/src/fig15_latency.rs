@@ -5,7 +5,7 @@
 //! at the two-period pipeline floor for each refresh rate; the VSync numbers
 //! carry the extra periods of buffer stuffing after drops.
 
-use crate::suite::{run_dvsync, run_vsync};
+use crate::suite::run_dvsync;
 use dvs_pipeline::calibrate_spec;
 use dvs_workload::{scenarios, ScenarioSpec};
 use serde::{Deserialize, Serialize};
@@ -45,12 +45,13 @@ fn measure(
     let mut v_frames = 0usize;
     let mut d_frames = 0usize;
     for raw in specs {
-        let fitted = calibrate_spec(raw, baseline_buffers).spec;
-        let v = run_vsync(&fitted, baseline_buffers);
-        let d = run_dvsync(&fitted, dvsync_buffers);
-        v_total += v.mean_latency_ms() * v.records.len() as f64;
+        // Calibration's best measurement is the fitted spec's VSync baseline.
+        let fitted = calibrate_spec(raw, baseline_buffers);
+        let v = fitted.baseline;
+        let d = run_dvsync(&fitted.spec, dvsync_buffers);
+        v_total += v.mean_latency_ms() * v.records as f64;
         d_total += d.mean_latency_ms() * d.records.len() as f64;
-        v_frames += v.records.len();
+        v_frames += v.records;
         d_frames += d.records.len();
     }
     DeviceLatency {

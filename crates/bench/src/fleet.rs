@@ -25,8 +25,8 @@ use std::path::{Path, PathBuf};
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_faults::named_profile;
-use dvs_metrics::{FleetSketch, PartialAccounting, PowerModel, QuarantineReport, RunReport};
-use dvs_pipeline::{run_batch, BatchLane, PipelineConfig, RunArena, Simulator};
+use dvs_metrics::{FleetSketch, PartialAccounting, PowerModel, QuarantineReport, RunTotals};
+use dvs_pipeline::{tally_batch, BatchLane, PipelineConfig, RunArena, Simulator};
 use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::{DeviceRun, FleetSpec, FrameTrace};
 use serde::{Deserialize, Serialize};
@@ -35,16 +35,18 @@ use crate::checkpoint::fingerprint_of;
 use crate::resilient::{decode_slots, execute_cells, restore_progress, ResilienceConfig};
 
 /// How many homogeneous lanes the batched engine hands to one
-/// [`run_batch`] call. Each lane runs to completion in its own warm arena,
-/// so the width only sets how many arenas a shard keeps warm.
+/// [`tally_batch`] call (the folding twin of
+/// [`run_batch`](dvs_pipeline::run_batch)). Each lane runs
+/// to completion in its own warm arena, so the width only sets how many
+/// arenas a shard keeps warm.
 pub const BATCH_WIDTH: usize = 64;
 
 /// Which engine a fleet run drives its devices through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEngine {
     /// The batch kernel: devices bucketed by (rate, buffers) and handed to
-    /// [`run_batch`] [`BATCH_WIDTH`] at a time, each lane run to completion
-    /// in a pooled arena. The production path.
+    /// [`tally_batch`] [`BATCH_WIDTH`] at a time, each lane run to
+    /// completion in a pooled arena. The production path.
     Batched,
     /// One [`Simulator`] run per device. The differential oracle.
     PerDevice,
@@ -156,11 +158,14 @@ impl ResilientFleet {
 }
 
 /// Folds one finished device run into the shard's sketch: FDPS and mean
-/// latency exactly as [`RunReport`] derives them, energy from the §6.4
-/// power model (every frame pays the FPE/DTV cost under D-VSync).
-fn observe_device(sketch: &mut FleetSketch, report: &RunReport) {
-    let energy_uj = PowerModel::default().energy(report, report.records.len() as u64, 0).total_uj();
-    sketch.observe_device(report.fdps(), report.mean_latency_ms(), energy_uj / 1000.0);
+/// latency from the run's totals, bit for bit what its
+/// [`RunReport`](dvs_metrics::RunReport) would give, and energy from the
+/// §6.4 power model (every frame pays the FPE/DTV cost under D-VSync).
+fn observe_device(sketch: &mut FleetSketch, totals: &RunTotals) {
+    let energy_uj = PowerModel::default()
+        .energy_of(totals, totals.display_time, totals.records as u64, 0)
+        .total_uj();
+    sketch.observe_device(totals.fdps(), totals.mean_latency_ms(), energy_uj / 1000.0);
 }
 
 /// The per-device D-VSync pipeline configuration for a (rate, buffers) cell.
@@ -235,13 +240,12 @@ pub fn run_fleet_shard(
                 load_device_trace(&dev, i, spec.frames, trace_dir, &mut trace);
                 let plan = fleet_plan(spec, &dev);
                 let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
-                arena.with_scratch_report(|arena, out| {
-                    Simulator::new(&cfg)
-                        .with_faults(plan.as_ref())
-                        .try_run_into(&trace, &mut pacer, arena, out)
-                        .expect("generated fleet traces always validate");
-                    observe_device(&mut sketch, out);
-                });
+                let mut totals = RunTotals::default();
+                Simulator::new(&cfg)
+                    .with_faults(plan.as_ref())
+                    .try_tally_into(&trace, &mut pacer, arena, &mut totals)
+                    .expect("generated fleet traces always validate");
+                observe_device(&mut sketch, &totals);
             }
         }
         FleetEngine::Batched => {
@@ -270,7 +274,7 @@ pub fn run_fleet_shard(
 }
 
 /// Runs one homogeneous bucket through the batch kernel, reusing the lane
-/// pool's warm arenas, and folds each lane's report into the sketch.
+/// pool's warm arenas, and folds each lane's totals into the sketch.
 fn flush_bucket(
     spec: &FleetSpec,
     bucket: &[(u64, DeviceRun)],
@@ -294,9 +298,9 @@ fn flush_bucket(
             lanes.push(BatchLane::new(trace, plan, pacer));
         }
     }
-    run_batch(&cfg, &mut lanes[..bucket.len()]).expect("generated fleet traces always validate");
+    tally_batch(&cfg, &mut lanes[..bucket.len()]).expect("generated fleet traces always validate");
     for lane in lanes[..bucket.len()].iter() {
-        observe_device(sketch, &lane.out);
+        observe_device(sketch, &lane.totals);
     }
 }
 

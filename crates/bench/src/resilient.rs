@@ -780,7 +780,7 @@ pub fn run_suite_resilient(
             // cache — measure it once, reuse forever.
             entry.baseline_metrics(cell, arena)
         } else {
-            run_cell(cell, &entry.spec, &entry.segments, arena)
+            run_cell(cell, &entry.segments, arena)
         }
     };
 

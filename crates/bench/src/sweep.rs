@@ -34,9 +34,9 @@
 //!   instead of once per suite call and once per cell, and keeps what
 //!   calibration hands over: the fitted trace, sliced into segments, and
 //!   the baseline cell's metrics, which are its best measurement;
-//! * every worker owns one [`RunArena`], and each cell runs into the
-//!   arena's pooled scratch report and reduces it in place to FDPS and mean
-//!   latency, so cells never hand back per-frame record vectors.
+//! * every worker owns one [`RunArena`], and each cell folds its segments
+//!   through it into one [`RunTotals`] — no frame record is built — and
+//!   hands back only the FDPS and mean latency those totals give.
 //!
 //! The suite runner that drives these passes is
 //! [`run_suite_resilient`](crate::run_suite_resilient).
@@ -47,9 +47,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
-use dvs_pipeline::{
-    calibrate_spec_pooled, run_segments_into, FramePacer, RunArena, SimCore, VsyncPacer,
-};
+use dvs_metrics::RunTotals;
+use dvs_pipeline::{calibrate_spec_pooled, PipelineConfig, RunArena, Simulator, VsyncPacer};
 use dvs_workload::{FrameTrace, ScenarioSpec, TraceCache};
 use serde::{Deserialize, Serialize};
 
@@ -299,8 +298,8 @@ pub struct FittedScenario {
     /// configuration — same trace, same pacer, same buffer count — so the
     /// result is memoized alongside the calibration. A calibrated entry
     /// starts with it set: calibration's best measurement is that very run
-    /// (its FDPS and mean latency, bit for bit), so the cell never runs.
-    /// An entry decoded from a recording measures it on first use.
+    /// (its totals, bit for bit), so the cell never runs. An entry decoded
+    /// from a recording measures it on first use.
     baseline: OnceLock<CellMetrics>,
 }
 
@@ -308,7 +307,7 @@ impl FittedScenario {
     /// The baseline cell's metrics: handed over by calibration, or computed
     /// through `arena` on first use.
     pub(crate) fn baseline_metrics(&self, cell: &SweepCell, arena: &mut RunArena) -> CellMetrics {
-        *self.baseline.get_or_init(|| run_cell(cell, &self.spec, &self.segments, arena))
+        *self.baseline.get_or_init(|| run_cell(cell, &self.segments, arena))
     }
 }
 
@@ -432,13 +431,11 @@ impl GridCache {
             // measurement, which is the baseline cell's run.
             let out = calibrate_spec_pooled(spec, self.baseline_buffers, arena);
             let segments = out.spec.segments_of(&out.trace);
-            let baseline =
-                CellMetrics { fdps: out.measured_fdps, latency_ms: out.measured_latency_ms };
             Arc::new(FittedScenario {
                 seed: spec.seed,
                 spec: out.spec,
                 segments,
-                baseline: OnceLock::from(baseline),
+                baseline: OnceLock::from(CellMetrics::of(&out.baseline)),
             })
         });
         assert_eq!(
@@ -492,10 +489,10 @@ impl GridCache {
 /// other mode was removed still resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
-    /// Each cell runs through the worker's pooled arena into its scratch
-    /// [`RunReport`](dvs_metrics::RunReport), which is reduced in place to
-    /// the row's FDPS and mean latency; only those two scalars leave the
-    /// cell. The determinism wall pins them to fresh full-report runs.
+    /// Each cell folds its segments through the worker's pooled arena into
+    /// one [`RunTotals`], which gives the row's FDPS and mean latency; only
+    /// those two scalars leave the cell. The determinism wall pins them to
+    /// fresh full-report runs.
     Aggregate,
 }
 
@@ -511,35 +508,40 @@ pub(crate) struct CellMetrics {
     pub(crate) latency_ms: f64,
 }
 
-/// Executes one cell: runs its segments with the cell's pacer through the
-/// worker's arena and reduces the pooled report to the row's two scalars.
+impl CellMetrics {
+    /// The row's two scalars from a cell run's totals.
+    pub(crate) fn of(totals: &RunTotals) -> Self {
+        CellMetrics { fdps: totals.fdps(), latency_ms: totals.mean_latency_ms() }
+    }
+}
+
+/// Executes one cell: folds its segments, each from a fresh pipeline and
+/// pacer of the cell's kind, through the worker's arena into one
+/// [`RunTotals`] (as [`run_segmented`](dvs_pipeline::run_segmented) merges
+/// them, bit for bit) and returns the row's two scalars.
 pub(crate) fn run_cell(
     cell: &SweepCell,
-    spec: &ScenarioSpec,
     segments: &[FrameTrace],
     arena: &mut RunArena,
 ) -> CellMetrics {
-    arena.with_scratch_report(|arena, out| {
-        let make_pacer = || -> Box<dyn FramePacer> {
-            match cell.pacer {
-                PacerKind::Vsync => Box::new(VsyncPacer::new()),
-                PacerKind::Dvsync => {
-                    Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(cell.buffers)))
-                }
+    let cfg = PipelineConfig::new(cell.rate_hz, cell.buffers);
+    let sim = Simulator::new(&cfg);
+    let mut totals = RunTotals::default();
+    for segment in segments {
+        let run = match cell.pacer {
+            PacerKind::Vsync => {
+                sim.try_tally_into(segment, &mut VsyncPacer::new(), arena, &mut totals)
+            }
+            PacerKind::Dvsync => {
+                let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(cell.buffers));
+                sim.try_tally_into(segment, &mut pacer, arena, &mut totals)
             }
         };
-        run_segments_into(
-            &spec.name,
-            cell.rate_hz,
-            segments,
-            cell.buffers,
-            SimCore::default(),
-            make_pacer,
-            arena,
-            out,
-        );
-        CellMetrics { fdps: out.fdps(), latency_ms: out.mean_latency_ms() }
-    })
+        if let Err(e) = run {
+            panic!("{e}");
+        }
+    }
+    CellMetrics::of(&totals)
 }
 
 /// Assembles suite rows in scenario order from index-stable metric slots,
@@ -671,7 +673,7 @@ mod tests {
         // cell runs, and equals running that cell.
         let cell = SweepGrid::for_suite(&specs, 3, &[]).cells[0];
         let handed = *a.baseline.get().expect("a calibrated entry carries its baseline");
-        let run = run_cell(&cell, &a.spec, &a.segments, &mut arena);
+        let run = run_cell(&cell, &a.segments, &mut arena);
         assert_eq!(handed.fdps.to_bits(), run.fdps.to_bits());
         assert_eq!(handed.latency_ms.to_bits(), run.latency_ms.to_bits());
     }

@@ -1,12 +1,13 @@
-//! Allocations per device on the batched fleet path, allocations and heap
-//! bytes per cell of a warm suite sweep, and the exact simulated work of a
-//! fixed sweep and a fixed fleet.
+//! Allocations and heap bytes per device on the batched fleet path and per
+//! cell of a warm suite sweep, and the exact simulated work of a fixed
+//! sweep and a fixed fleet.
 //!
-//! A shard keeps a pool of warm lanes — arenas, reports, traces and fault
-//! tables reused device after device — so what a device still allocates is
-//! what is built fresh for it. This test counts every heap allocation the
-//! shard makes on the calling thread with a thread-local counting allocator
-//! and pins the per-device average.
+//! A shard keeps a pool of warm lanes — arenas, traces and fault tables
+//! reused device after device — so what a device still allocates is what is
+//! built fresh for it. This test counts every heap allocation the shard
+//! makes on the calling thread with a thread-local counting allocator and
+//! pins the per-device averages. Lanes fold their runs into totals, so no
+//! lane grows a frame-record vector.
 //!
 //! What remains per device, and why it is not pooled:
 //!
@@ -32,9 +33,10 @@
 //!
 //! The event counts are exact: `CoreStats::events_processed` summed over
 //! every cell of the seed-1 suite75 buffer ladder (the sweep benchmark's
-//! pass) and over a fixed fleet population on both engines. A change that
-//! only makes the simulator faster leaves them equal; one that alters the
-//! simulated work moves them.
+//! pass) and over a fixed fleet population on both engines, each counted
+//! once on the record path and once through the fold that sweep cells and
+//! fleet devices take. A change that only makes the simulator faster leaves
+//! them equal; one that alters the simulated work moves them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -47,10 +49,10 @@ use dvs_bench::{
 };
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_faults::named_profile;
-use dvs_metrics::RunReport;
+use dvs_metrics::{RunReport, RunTotals};
 use dvs_pipeline::{
-    calibrate_spec_pooled, run_batch, BatchLane, FramePacer, PipelineConfig, RunArena, Simulator,
-    VsyncPacer,
+    calibrate_spec_pooled, run_batch, tally_batch, BatchLane, FramePacer, PipelineConfig, RunArena,
+    Simulator, VsyncPacer,
 };
 use dvs_sim::stable_seed;
 use dvs_workload::{FleetSpec, FrameTrace};
@@ -105,23 +107,31 @@ fn thread_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
-/// The ceiling on allocations per device for one warm batched shard.
+/// The ceilings on allocations and heap bytes per device for one warm
+/// batched shard (about 6.5 and 1,150 B measured).
 const MAX_ALLOCS_PER_DEVICE: f64 = 8.0;
+const MAX_BYTES_PER_DEVICE: f64 = 1_400.0;
 
 #[test]
 fn batched_shard_allocates_at_most_eight_times_per_device() {
     let devices = 2_400;
     let spec = FleetSpec::default_population("allocs", devices, 60);
     let mut arena = RunArena::new();
-    let before = thread_allocs();
+    let (allocs_before, bytes_before) = (thread_allocs(), thread_bytes());
     let sketch = run_fleet_shard(&spec, 0, 1, FleetEngine::Batched, &mut arena, None);
-    let allocs = thread_allocs() - before;
+    let (allocs, bytes) = (thread_allocs() - allocs_before, thread_bytes() - bytes_before);
     assert_eq!(sketch.devices, devices, "every device was measured");
     let per_device = allocs as f64 / devices as f64;
     assert!(
         per_device <= MAX_ALLOCS_PER_DEVICE,
         "{allocs} allocations over {devices} devices = {per_device:.2} per device \
          (ceiling {MAX_ALLOCS_PER_DEVICE})"
+    );
+    let bytes_per_device = bytes as f64 / devices as f64;
+    assert!(
+        bytes_per_device <= MAX_BYTES_PER_DEVICE,
+        "{bytes} bytes over {devices} devices = {bytes_per_device:.0} B per device \
+         (ceiling {MAX_BYTES_PER_DEVICE} B)"
     );
 }
 
@@ -173,25 +183,31 @@ fn suite75_ladder_dispatches_an_exact_event_count() {
     }
     let mut arena = RunArena::new();
     let mut out = RunReport::default();
-    let mut events = 0;
+    let (mut recorded, mut folded) = (0, 0);
     for spec in &specs {
         let fitted = calibrate_spec_pooled(spec, 3, &mut arena);
         let segments = fitted.spec.segments_of(&fitted.trace);
         for buffers in std::iter::once(3).chain(DEFAULT_LADDER) {
             let cfg = PipelineConfig::new(spec.rate_hz, buffers);
             let sim = Simulator::new(&cfg);
+            let mut totals = RunTotals::default();
             for segment in &segments {
-                let mut pacer: Box<dyn FramePacer> = if buffers == 3 {
-                    Box::new(VsyncPacer::new())
-                } else {
-                    Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(buffers)))
+                let pacer = || -> Box<dyn FramePacer> {
+                    if buffers == 3 {
+                        Box::new(VsyncPacer::new())
+                    } else {
+                        Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(buffers)))
+                    }
                 };
-                let stats = sim.try_run_into(segment, pacer.as_mut(), &mut arena, &mut out);
-                events += stats.expect("calibrated segments validate").events_processed;
+                let stats = sim.try_run_into(segment, pacer().as_mut(), &mut arena, &mut out);
+                recorded += stats.expect("calibrated segments validate").events_processed;
+                let stats = sim.try_tally_into(segment, pacer().as_mut(), &mut arena, &mut totals);
+                folded += stats.expect("calibrated segments validate").events_processed;
             }
         }
     }
-    assert_eq!(events, SUITE75_LADDER_EVENTS, "the suite75 ladder's simulated work changed");
+    assert_eq!(recorded, SUITE75_LADDER_EVENTS, "the suite75 ladder's simulated work changed");
+    assert_eq!(folded, SUITE75_LADDER_EVENTS, "the fold's simulated work changed");
 }
 
 /// Events dispatched over the 2,400 devices of the allocation test's
@@ -208,10 +224,18 @@ fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
     // The batched engine's buckets: devices of one (rate, buffers) cell,
     // flushed through the batch kernel at `BATCH_WIDTH` lanes.
     let mut buckets: BTreeMap<(u32, usize), Vec<BatchLane<DvsyncPacer>>> = BTreeMap::new();
-    let mut batched = 0;
+    let (mut batched, mut batch_folded, mut per_device_folded) = (0, 0, 0);
     let mut flush = |(rate_hz, buffers): (u32, usize), lanes: &mut Vec<BatchLane<DvsyncPacer>>| {
-        let stats = run_batch(&PipelineConfig::new(rate_hz, buffers), lanes);
+        let cfg = PipelineConfig::new(rate_hz, buffers);
+        let stats = run_batch(&cfg, lanes);
         batched += stats.expect("generated fleet traces validate").events_processed;
+        // Fresh pacers: a lane's pacer state belongs to one run.
+        for lane in lanes.iter_mut() {
+            let (trace, plan) = (lane.trace.clone(), lane.plan.take());
+            lane.reload(trace, plan, DvsyncPacer::new(DvsyncConfig::with_buffers(buffers)));
+        }
+        let stats = tally_batch(&cfg, lanes);
+        batch_folded += stats.expect("generated fleet traces validate").events_processed;
         lanes.clear();
     };
     for i in 0..spec.devices {
@@ -231,6 +255,13 @@ fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
             &mut out,
         );
         per_device += stats.expect("generated fleet traces validate").events_processed;
+        let stats = Simulator::new(&cfg).with_faults(plan.as_ref()).try_tally_into(
+            &trace,
+            &mut pacer(),
+            &mut arena,
+            &mut RunTotals::default(),
+        );
+        per_device_folded += stats.expect("generated fleet traces validate").events_processed;
         let key = (dev.rate_hz, dev.buffers);
         let lanes = buckets.entry(key).or_default();
         lanes.push(BatchLane::new(trace.clone(), plan, pacer()));
@@ -243,4 +274,6 @@ fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
     }
     assert_eq!(per_device, FLEET_EVENTS, "the per-device engine's simulated work changed");
     assert_eq!(batched, FLEET_EVENTS, "the batched engine's simulated work changed");
+    assert_eq!(per_device_folded, FLEET_EVENTS, "the per-device fold's simulated work changed");
+    assert_eq!(batch_folded, FLEET_EVENTS, "the batched fold's simulated work changed");
 }

@@ -10,6 +10,10 @@
 //! * **rendering latency** (present fence minus content basis) — Figure 15;
 //! * **perceived stutters** via a JND-based perceptual model — Table 2;
 //! * **power and instruction overheads** via explicit cost models — §6.4/§6.7.
+//!
+//! The scalar ones — FDPS, FD%, mean latency and energy — are formulas over
+//! a [`RunTotals`], which [`RunReport::totals`] reduces a report to and
+//! which the simulator can also fold a run into without recording frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +40,7 @@ pub use power::{EnergyBreakdown, InstructionModel, PowerModel, FPE_DTV_EXEC_PER_
 pub use quarantine::{PartialAccounting, QuarantineEntry, QuarantineReport};
 pub use record::{
     fdps, FaultClass, FaultRecord, FrameDistribution, FrameKind, FrameRecord, JankEvent,
-    ModeTransition, PacerMode, RunReport,
+    ModeTransition, PacerMode, RunReport, RunTotals,
 };
 pub use sketch::{
     FleetSketch, MetricSketch, SketchStats, ENERGY_GRID_BINS, ENERGY_GRID_HI_MJ, FDPS_GRID_BINS,

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::RunReport;
+use crate::{RunReport, RunTotals};
 use dvs_sim::SimDuration;
 
 /// End-to-end device energy model.
@@ -103,12 +103,23 @@ impl PowerModel {
         dvsync_frames: u64,
         predictor_calls: u64,
     ) -> EnergyBreakdown {
-        let work_ms: f64 =
-            report.records.iter().map(|r| (r.ui_cost + r.rs_cost).as_millis_f64()).sum();
+        self.energy_of(&report.totals(), screen_on, dvsync_frames, predictor_calls)
+    }
+
+    /// [`PowerModel::energy_over`] from a run's [`RunTotals`]: the one
+    /// energy formula. Pass `totals.display_time` as `screen_on` for what
+    /// [`PowerModel::energy`] accounts.
+    pub fn energy_of(
+        &self,
+        totals: &RunTotals,
+        screen_on: SimDuration,
+        dvsync_frames: u64,
+        predictor_calls: u64,
+    ) -> EnergyBreakdown {
         EnergyBreakdown {
             base_uj: self.base_mw * screen_on.as_millis_f64(),
-            work_uj: self.uj_per_work_ms * work_ms,
-            frame_uj: self.uj_per_frame * report.records.len() as f64,
+            work_uj: self.uj_per_work_ms * totals.work_ms_sum,
+            frame_uj: self.uj_per_frame * totals.records as f64,
             dvsync_uj: self.uj_fpe_dtv * dvsync_frames as f64,
             predictor_uj: self.uj_predictor * predictor_calls as f64,
         }
@@ -178,6 +189,16 @@ mod tests {
             });
         }
         r
+    }
+
+    #[test]
+    fn energy_from_totals_is_the_report_energy() {
+        let m = PowerModel::default();
+        let r = report(250, 4);
+        let (from_report, from_totals) =
+            (m.energy(&r, 250, 3), m.energy_of(&r.totals(), r.display_time, 250, 3));
+        assert_eq!(from_report.total_uj().to_bits(), from_totals.total_uj().to_bits());
+        assert_eq!(from_report, from_totals);
     }
 
     #[test]

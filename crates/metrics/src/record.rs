@@ -4,15 +4,90 @@ use dvs_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Frame drops per second: `janks` over `display_time` in seconds, 0 when
-/// nothing was displayed. The one FDPS formula behind [`RunReport::fdps`]
-/// and [`RunAggregate::fdps`](crate::RunAggregate::fdps); a segmented run's
-/// FDPS is this formula over its summed per-segment counts, bit for bit.
+/// nothing was displayed. The one FDPS formula behind [`RunReport::fdps`],
+/// [`RunTotals::fdps`] and [`RunAggregate::fdps`](crate::RunAggregate::fdps);
+/// a segmented run's FDPS is this formula over its summed per-segment
+/// counts, bit for bit.
 pub fn fdps(janks: usize, display_time: SimDuration) -> f64 {
     let secs = display_time.as_secs_f64();
     if secs == 0.0 {
         0.0
     } else {
         janks as f64 / secs
+    }
+}
+
+/// The scalars the paper reduces a run to — FDPS (§6.2), FD% (Fig. 5), mean
+/// latency (§6.3) and the rendering work behind §6.4's energy — without the
+/// per-frame records they come from.
+///
+/// Counts add up run after run; the latency and work sums are running
+/// folds that add each frame's value in record order, starting from zero,
+/// exactly as [`RunReport::totals`] walks a report's records. So totals
+/// folded over the segments of a run, one segment after another, equal the
+/// totals of the merged report bit for bit. The order is the contract:
+/// partial totals folded apart and then added together would round
+/// differently, so there is deliberately no merge or `+`.
+///
+/// # Examples
+///
+/// ```
+/// use dvs_metrics::{RunReport, RunTotals};
+/// let totals: RunTotals = RunReport::new("empty", 60).totals();
+/// assert_eq!((totals.fdps(), totals.mean_latency_ms()), (0.0, 0.0));
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RunTotals {
+    /// Missed refreshes while content was expected.
+    pub janks: usize,
+    /// Display span, summed over runs.
+    pub display_time: SimDuration,
+    /// Refreshes during the display span, summed over runs.
+    pub ticks_active: u64,
+    /// Frames presented (one [`FrameRecord`] each on the record path).
+    pub records: usize,
+    /// Rendering latency in milliseconds, summed in record order.
+    pub latency_ms_sum: f64,
+    /// UI + RS stage cost in milliseconds, summed in record order.
+    pub work_ms_sum: f64,
+}
+
+impl RunTotals {
+    /// Adds the next presented frame, in record order: its rendering
+    /// latency ([`FrameRecord::latency`]) and its UI + RS stage cost.
+    #[inline]
+    pub fn add_frame(&mut self, latency: SimDuration, work: SimDuration) {
+        self.records += 1;
+        self.latency_ms_sum += latency.as_millis_f64();
+        self.work_ms_sum += work.as_millis_f64();
+    }
+
+    /// Adds the next record of a report, in record order.
+    pub fn add_record(&mut self, record: &FrameRecord) {
+        self.add_frame(record.latency(), record.ui_cost + record.rs_cost);
+    }
+
+    /// Frame drops per second of display time; see [`fdps`].
+    pub fn fdps(&self) -> f64 {
+        fdps(self.janks, self.display_time)
+    }
+
+    /// Janks as a fraction of active refreshes (Figure 5's FD%).
+    pub fn fd_fraction(&self) -> f64 {
+        if self.ticks_active == 0 {
+            0.0
+        } else {
+            self.janks as f64 / self.ticks_active as f64
+        }
+    }
+
+    /// Mean rendering latency across all presented frames, in milliseconds.
+    pub fn mean_latency_ms(&self) -> f64 {
+        if self.records == 0 {
+            0.0
+        } else {
+            self.latency_ms_sum / self.records as f64
+        }
     }
 }
 
@@ -206,20 +281,11 @@ impl RunReport {
         }
     }
 
-    /// Pre-sizes the record vector for `n` upcoming frames.
-    ///
-    /// The simulator knows the trace length up front; reserving once keeps
-    /// the batched append below from reallocating mid-assembly.
-    pub fn reserve_records(&mut self, n: usize) {
-        self.records.reserve(n);
-    }
-
     /// Pre-sizes the report for a whole scenario: `frames` upcoming frame
     /// records plus `transitions` expected pacer mode transitions.
     ///
-    /// [`RunReport::reserve_records`] alone under-reserves for segmented
-    /// runs: a combined report absorbs one segment at a time, and growing by
-    /// doubling re-copies every record already merged. Sizing from the
+    /// A combined report absorbs one segment at a time, and growing by
+    /// doubling would re-copy every record already merged. Sizing from the
     /// scenario's *total* frame count (and leaving slack for the
     /// degradation watchdog's transition log) keeps the steady-state appends
     /// of [`RunReport::absorb_from`] reallocation-free.
@@ -251,15 +317,6 @@ impl RunReport {
         self.truncated = false;
     }
 
-    /// Appends a batch of frame records in one call.
-    ///
-    /// The event-heap core assembles all records after its event loop ends
-    /// and installs them in a single batch, rather than pushing through the
-    /// report one frame at a time mid-run.
-    pub fn append_records<I: IntoIterator<Item = FrameRecord>>(&mut self, records: I) {
-        self.records.extend(records);
-    }
-
     /// Number of degradations (transitions *into* classic VSync pacing).
     pub fn degradations(&self) -> usize {
         self.mode_transitions.iter().filter(|t| t.mode == PacerMode::Classic).count()
@@ -276,22 +333,31 @@ impl RunReport {
         fdps(self.janks.len(), self.display_time)
     }
 
-    /// Janks as a fraction of active refreshes (Figure 5's FD%).
+    /// Janks as a fraction of active refreshes (Figure 5's FD%); see
+    /// [`RunTotals::fd_fraction`].
     pub fn fd_fraction(&self) -> f64 {
-        if self.ticks_active == 0 {
-            0.0
-        } else {
-            self.janks.len() as f64 / self.ticks_active as f64
-        }
+        self.totals().fd_fraction()
     }
 
-    /// Mean rendering latency across all produced frames, in milliseconds.
+    /// Mean rendering latency across all produced frames, in milliseconds;
+    /// see [`RunTotals::mean_latency_ms`].
     pub fn mean_latency_ms(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
+        self.totals().mean_latency_ms()
+    }
+
+    /// The report reduced to its [`RunTotals`]: the counts, and the latency
+    /// and work sums folded over the records in order.
+    pub fn totals(&self) -> RunTotals {
+        let mut totals = RunTotals {
+            janks: self.janks.len(),
+            display_time: self.display_time,
+            ticks_active: self.ticks_active,
+            ..RunTotals::default()
+        };
+        for record in &self.records {
+            totals.add_record(record);
         }
-        let total: f64 = self.records.iter().map(|r| r.latency().as_millis_f64()).sum();
-        total / self.records.len() as f64
+        totals
     }
 
     /// Latency summary statistics in milliseconds.
@@ -450,6 +516,44 @@ mod tests {
         let d = r.distribution();
         assert!((d.direct + d.stuffed + d.dropped - 1.0).abs() < 1e-12);
         assert!((d.direct - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn totals_folded_segment_by_segment_equal_the_merged_reports() {
+        // Latencies and costs with inexact binary fractions, so a sum in
+        // another order would round differently.
+        let mut rng = dvs_sim::SimRng::seed_from(0x0707_4A15);
+        let (mut merged, mut folded) = (RunReport::new("merged", 60), RunTotals::default());
+        for _ in 0..12 {
+            let mut seg = RunReport::new("seg", 60);
+            for tick in 0..rng.next_below(40) {
+                let mut r = record(FrameKind::Direct, tick, tick + 33);
+                r.present =
+                    SimTime::from_nanos(r.basis.as_nanos() + 1 + rng.next_below(90_000_000));
+                r.present_tick = tick;
+                r.ui_cost = SimDuration::from_nanos(rng.next_below(9_000_000));
+                r.rs_cost = SimDuration::from_nanos(rng.next_below(21_000_000));
+                seg.records.push(r);
+                if rng.next_below(5) == 0 {
+                    seg.janks.push(JankEvent { tick, time: SimTime::from_millis(tick) });
+                }
+            }
+            seg.display_time = SimDuration::from_nanos(16_666_667 * (1 + rng.next_below(40)));
+            seg.ticks_active = rng.next_below(40);
+            folded.janks += seg.janks.len();
+            folded.display_time += seg.display_time;
+            folded.ticks_active += seg.ticks_active;
+            seg.records.iter().for_each(|r| folded.add_record(r));
+            merged.absorb(seg);
+        }
+        let want = merged.totals();
+        assert_eq!(folded.latency_ms_sum.to_bits(), want.latency_ms_sum.to_bits());
+        assert_eq!(folded.work_ms_sum.to_bits(), want.work_ms_sum.to_bits());
+        assert_eq!(folded, want);
+        assert_eq!(folded.fdps().to_bits(), merged.fdps().to_bits());
+        assert_eq!(folded.fd_fraction().to_bits(), merged.fd_fraction().to_bits());
+        assert_eq!(folded.mean_latency_ms().to_bits(), merged.mean_latency_ms().to_bits());
+        assert!(want.records > 100 && want.janks > 10, "the report exercised the fold");
     }
 
     #[test]

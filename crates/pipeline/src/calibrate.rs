@@ -13,29 +13,29 @@
 //! numbers up to the first key-frame trial whose draw lies between their
 //! two probabilities. Each call therefore keeps a private memo of its
 //! measurements — per animation segment, the highest trial draw that fired
-//! and the lowest that missed, plus the segment's jank count and display
-//! time. A new rate reuses the longest run of leading segments some earlier
-//! measurement decided the same way, and skips trace generation entirely
-//! when that run is the whole trace. Every segment runs from fresh
-//! pipeline state and FDPS is an integer jank sum over an integer display
-//! sum, so the reused counts reproduce the full run's FDPS bit for bit.
+//! and the lowest that missed, plus the measurement's [`RunTotals`] through
+//! that segment. A new rate reuses the longest run of leading segments some
+//! earlier measurement decided the same way, and skips trace generation
+//! entirely when that run is the whole trace. Every segment runs from fresh
+//! pipeline state, and reused segments always form a leading run, so a new
+//! rate resumes the fold from its source's totals through that run and
+//! folds in only the segments it re-simulates
+//! ([`Simulator::try_tally_into`](crate::Simulator::try_tally_into)) — the
+//! same additions, in the same order, as
+//! [`RunReport::totals`](dvs_metrics::RunReport::totals) over the merged
+//! report of a full segmented run.
 //!
 //! The search hands over what its best measurement already built: the
-//! fitted trace and the baseline run's mean latency. The memo also keeps,
-//! per segment, the running latency sum and record count through that
-//! segment. Reused segments always form a leading run, so a new rate
-//! resumes the fold from its source's running sum and adds only the
-//! segments it re-simulates — the same additions, in the same order, as
-//! [`RunReport::mean_latency_ms`](dvs_metrics::RunReport::mean_latency_ms)
-//! over the merged report. A caller such as the sweep's grid cache thus
-//! gets the baseline cell without running it again. The fitted trace comes
-//! from a second pooled trace: when a measurement that generated its frames
+//! fitted trace and the baseline run's totals, from which FDPS, FD% and
+//! mean latency follow. A caller such as the sweep's grid cache thus gets
+//! the baseline cell without running it again. The fitted trace comes from
+//! a second pooled trace: when a measurement that generated its frames
 //! becomes the search's best, the memo swaps them out of the working trace
 //! before a later measurement overwrites them.
 
 use std::ops::Range;
 
-use dvs_sim::SimDuration;
+use dvs_metrics::RunTotals;
 use dvs_workload::{FrameTrace, ScenarioSpec, TraceGenerator};
 
 use crate::config::PipelineConfig;
@@ -51,13 +51,11 @@ pub struct CalibrationOutcome {
     pub spec: ScenarioSpec,
     /// The fitted spec's trace: equal to `spec.generate()`.
     pub trace: FrameTrace,
-    /// The baseline FDPS the fitted spec actually measures: bit for bit
-    /// the [`fdps`](dvs_metrics::RunReport::fdps) of a segmented VSync run
-    /// of `spec` at the calibration's buffer count.
-    pub measured_fdps: f64,
-    /// That same run's [`mean_latency_ms`](dvs_metrics::RunReport::mean_latency_ms),
-    /// bit for bit.
-    pub measured_latency_ms: f64,
+    /// The baseline run the fitted spec actually measures: bit for bit the
+    /// [`totals`](dvs_metrics::RunReport::totals) of a segmented VSync run
+    /// of `spec` at the calibration's buffer count, so its FDPS, FD% and
+    /// mean latency are that run's.
+    pub baseline: RunTotals,
     /// Search steps used: the bracket's doublings plus the bisection steps
     /// (0 for a zero target).
     pub iterations: usize,
@@ -78,7 +76,7 @@ pub struct CalibrationOutcome {
 /// let spec = ScenarioSpec::new("cal", 60, 600, CostProfile::scattered(1.0))
 ///     .with_paper_fdps(2.0);
 /// let out = calibrate_spec(&spec, 3);
-/// assert!((out.measured_fdps - 2.0).abs() < 0.6);
+/// assert!((out.baseline.fdps() - 2.0).abs() < 0.6);
 /// ```
 pub fn calibrate_spec(spec: &ScenarioSpec, buffers: usize) -> CalibrationOutcome {
     let mut arena = RunArena::new();
@@ -93,8 +91,8 @@ pub fn calibrate_spec(spec: &ScenarioSpec, buffers: usize) -> CalibrationOutcome
 /// report. Segments and whole traces that an earlier measurement of the
 /// same call already decided are reused instead of re-simulated (see the
 /// module docs); the memo lives only for this call. The fitted rate, the
-/// measured FDPS and latency and `iterations` are bit-identical to
-/// measuring every rate in full, and to [`calibrate_spec`]: the search
+/// baseline totals and `iterations` are bit-identical to measuring every
+/// rate in full, and to [`calibrate_spec`]: the search
 /// sequence is deterministic and the arena is scratch. The returned trace
 /// is the one the best measurement's frames were generated into, generated
 /// again only when neither pooled trace still holds them.
@@ -112,11 +110,17 @@ pub fn calibrate_spec_pooled(
 #[derive(Clone, Copy)]
 struct Measurement {
     rate: f64,
-    fdps: f64,
-    latency_ms: f64,
+    /// The segmented VSync run's totals at `rate`.
+    totals: RunTotals,
     /// The memoized measurement whose frames this one's are (`None` for a
     /// zero rate, which is never memoized).
     run: Option<usize>,
+}
+
+impl Measurement {
+    fn fdps(&self) -> f64 {
+        self.totals.fdps()
+    }
 }
 
 /// One animation segment of a memoized measurement.
@@ -126,24 +130,18 @@ struct SegmentOutcome {
     fired: f64,
     /// Lowest key-frame trial draw in this segment that missed.
     missed: f64,
-    janks: usize,
-    display_time: SimDuration,
-    /// Latency sum (ms) over every record through this segment, added in
-    /// record order.
-    latency_sum: f64,
-    /// Records through this segment.
-    records: usize,
+    /// The measurement's totals through this segment.
+    totals: RunTotals,
 }
 
 impl SegmentOutcome {
-    const UNTRIED: SegmentOutcome = SegmentOutcome {
-        fired: f64::NEG_INFINITY,
-        missed: f64::INFINITY,
-        janks: 0,
-        display_time: SimDuration::ZERO,
-        latency_sum: 0.0,
-        records: 0,
-    };
+    fn untried() -> Self {
+        SegmentOutcome {
+            fired: f64::NEG_INFINITY,
+            missed: f64::INFINITY,
+            totals: RunTotals::default(),
+        }
+    }
 
     /// Whether key-frame probability `p` decides every trial of this
     /// segment as the memoized rate did. When it does so for every segment
@@ -208,7 +206,7 @@ impl Memo {
         let mut hi = (target * 0.8).max(0.25);
         let mut iterations = 0usize;
         let mut at_hi = self.measure(hi, arena);
-        while at_hi.fdps < target && hi < self.spec.rate_hz as f64 {
+        while at_hi.fdps() < target && hi < self.spec.rate_hz as f64 {
             lo = hi;
             hi *= 2.0;
             at_hi = self.measure(hi, arena);
@@ -225,8 +223,8 @@ impl Memo {
             iterations += 1;
             let mid = 0.5 * (lo + hi);
             let measured = self.measure(mid, arena);
-            let f = measured.fdps;
-            if (f - target).abs() < (best.fdps - target).abs() {
+            let f = measured.fdps();
+            if (f - target).abs() < (best.fdps() - target).abs() {
                 best = measured;
                 self.keep(best);
             }
@@ -242,8 +240,7 @@ impl Memo {
         (best, iterations)
     }
 
-    /// The segmented VSync FDPS and mean latency of the scenario at
-    /// key-frame `rate`.
+    /// The segmented VSync run of the scenario at key-frame `rate`.
     fn measure(&mut self, rate: f64, arena: &mut RunArena) -> Measurement {
         self.spec.cost.long_rate_per_sec = rate;
         let n = self.segments.len();
@@ -264,7 +261,7 @@ impl Memo {
         }
 
         let base = self.outcomes.len();
-        self.outcomes.resize(base + n, SegmentOutcome::UNTRIED);
+        self.outcomes.resize(base + n, SegmentOutcome::untried());
         let seg_len = self.spec.segment_frames.max(1);
         let fresh = &mut self.outcomes[base..];
         TraceGenerator::new(&self.spec).generate_observed(&mut self.trace, |frame, u, fired| {
@@ -278,41 +275,22 @@ impl Memo {
 
         let (run, admitted) = source.unwrap_or((0, 0));
         let sim = Simulator::new(&self.cfg);
-        let (mut janks, mut display_time) = (0usize, SimDuration::ZERO);
-        let (mut latency_sum, mut records) = (0.0f64, 0usize);
+        let mut totals = RunTotals::default();
         for k in 0..n {
-            let (seg_janks, seg_display) = if k < admitted {
-                let o = self.outcomes[run * n + k];
-                // Reused segments lead, so the source's running sums
-                // through `k` are this run's too.
-                (latency_sum, records) = (o.latency_sum, o.records);
-                (o.janks, o.display_time)
+            if k < admitted {
+                // Reused segments lead, so the source's totals through `k`
+                // are this run's too.
+                totals = self.outcomes[run * n + k].totals;
             } else {
                 self.segment.frames.clear();
                 self.segment.frames.extend_from_slice(&self.trace.frames[self.segments[k].clone()]);
-                let segment = &self.segment;
-                arena.with_scratch_report(|arena, out| {
-                    sim.run_into(segment, &mut VsyncPacer::new(), arena, out);
-                    for r in &out.records {
-                        latency_sum += r.latency().as_millis_f64();
-                    }
-                    records += out.records.len();
-                    (out.janks.len(), out.display_time)
-                })
-            };
-            let o = &mut self.outcomes[base + k];
-            o.janks = seg_janks;
-            o.display_time = seg_display;
-            o.latency_sum = latency_sum;
-            o.records = records;
-            janks += seg_janks;
-            display_time += seg_display;
+                sim.tally_into(&self.segment, &mut VsyncPacer::new(), arena, &mut totals);
+            }
+            self.outcomes[base + k].totals = totals;
         }
 
-        let fdps = dvs_metrics::fdps(janks, display_time);
-        let latency_ms = if records == 0 { 0.0 } else { latency_sum / records as f64 };
         let run = trials.then_some(self.runs.len());
-        let measured = Measurement { rate, fdps, latency_ms, run };
+        let measured = Measurement { rate, totals, run };
         self.traced = run;
         if trials {
             self.runs.push(measured);
@@ -375,21 +353,22 @@ impl Memo {
         if !self.take_best_frames(&best) {
             TraceGenerator::new(&self.spec).generate_into(&mut self.trace);
         }
-        CalibrationOutcome {
-            spec: self.spec,
-            trace: self.trace,
-            measured_fdps: best.fdps,
-            measured_latency_ms: best.latency_ms,
-            iterations,
-        }
+        CalibrationOutcome { spec: self.spec, trace: self.trace, baseline: best.totals, iterations }
     }
 }
 
-/// A full segmented VSync run's `(fdps, mean latency)` bits.
+/// Totals as bits: the f64 sums compared by representation.
 #[cfg(test)]
-fn measure(spec: &ScenarioSpec, buffers: usize) -> (u64, u64) {
+fn bits(t: &RunTotals) -> (usize, u64, u64, usize, u64, u64) {
+    let (latency, work) = (t.latency_ms_sum.to_bits(), t.work_ms_sum.to_bits());
+    (t.janks, t.display_time.as_nanos(), t.ticks_active, t.records, latency, work)
+}
+
+/// A full segmented VSync run's totals, as [`bits`].
+#[cfg(test)]
+fn measure(spec: &ScenarioSpec, buffers: usize) -> (usize, u64, u64, usize, u64, u64) {
     let report = crate::runner::run_segmented(spec, buffers, || Box::new(VsyncPacer::new()));
-    (report.fdps().to_bits(), report.mean_latency_ms().to_bits())
+    bits(&report.totals())
 }
 
 #[cfg(test)]
@@ -402,7 +381,7 @@ mod tests {
         let spec = ScenarioSpec::new("z", 60, 300, CostProfile::scattered(5.0));
         let out = calibrate_spec(&spec, 3);
         assert_eq!(out.spec.cost.long_rate_per_sec, 0.0);
-        assert!(out.measured_fdps < 0.7, "smooth spec FDPS {}", out.measured_fdps);
+        assert!(out.baseline.fdps() < 0.7, "smooth spec FDPS {}", out.baseline.fdps());
         assert_eq!(out.trace, out.spec.generate());
     }
 
@@ -412,9 +391,9 @@ mod tests {
             ScenarioSpec::new("m", 60, 1000, CostProfile::scattered(1.0)).with_paper_fdps(3.0);
         let out = calibrate_spec(&spec, 3);
         assert!(
-            (out.measured_fdps - 3.0).abs() < 0.9,
+            (out.baseline.fdps() - 3.0).abs() < 0.9,
             "target 3.0, measured {}",
-            out.measured_fdps
+            out.baseline.fdps()
         );
     }
 
@@ -424,9 +403,9 @@ mod tests {
             ScenarioSpec::new("h", 120, 600, CostProfile::clustered(4.0)).with_paper_fdps(12.0);
         let out = calibrate_spec(&spec, 4);
         assert!(
-            (out.measured_fdps - 12.0).abs() < 3.0,
+            (out.baseline.fdps() - 12.0).abs() < 3.0,
             "target 12, measured {}",
-            out.measured_fdps
+            out.baseline.fdps()
         );
     }
 
@@ -443,8 +422,7 @@ mod tests {
         let _ = calibrate_spec_pooled(&other, 4, &mut arena);
         let pooled = calibrate_spec_pooled(&spec, 3, &mut arena);
         assert_eq!(fresh.spec.cost.long_rate_per_sec, pooled.spec.cost.long_rate_per_sec);
-        assert_eq!(fresh.measured_fdps, pooled.measured_fdps);
-        assert_eq!(fresh.measured_latency_ms, pooled.measured_latency_ms);
+        assert_eq!(bits(&fresh.baseline), bits(&pooled.baseline));
         assert_eq!(fresh.trace, pooled.trace);
         assert_eq!(fresh.iterations, pooled.iterations);
     }
@@ -459,7 +437,7 @@ mod tests {
         for rate in [0.0, 2.0, 0.0, 2.0 + 1e-12, 1e-9, 0.0, 3.0, 2.5, 2.0] {
             let full = measure(&spec.clone().with_cost(spec.cost.with_long_rate(rate)), 3);
             let m = memo.measure(rate, &mut arena);
-            assert_eq!((m.fdps.to_bits(), m.latency_ms.to_bits()), full, "rate {rate}");
+            assert_eq!(bits(&m.totals), full, "rate {rate}");
         }
         // 2.0 + 1e-12 and the second 2.0 decide every trial like the first
         // 2.0, so they were not memoized again; 1e-9, 3.0 and 2.5 were.
@@ -499,10 +477,9 @@ mod tests {
         let spec =
             ScenarioSpec::new("r", 60, 800, CostProfile::scattered(1.0)).with_paper_fdps(2.0);
         let out = calibrate_spec(&spec, 3);
-        // Re-running the fitted spec yields the same FDPS and latency
-        // (determinism), on the trace calibration handed over.
-        let full = measure(&out.spec, 3);
-        assert_eq!(full, (out.measured_fdps.to_bits(), out.measured_latency_ms.to_bits()));
+        // Re-running the fitted spec yields the same totals (determinism),
+        // on the trace calibration handed over.
+        assert_eq!(measure(&out.spec, 3), bits(&out.baseline));
         assert_eq!(out.trace, out.spec.generate());
     }
 }

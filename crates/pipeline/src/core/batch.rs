@@ -24,9 +24,14 @@
 //! report. The differential wall (`tests/fleet_differential.rs`) pins
 //! batched reports byte-identical to per-device [`crate::Simulator`] runs
 //! for K ∈ {1, 2, 7, 64}, clean and faulted.
+//!
+//! [`tally_batch`] runs the same lanes but folds each into its
+//! [`BatchLane::totals`] instead of filling its report, as
+//! [`crate::Simulator::try_tally_into`] does for one run: the fleet reduces
+//! every device to FDPS, latency and energy, so it never needs the records.
 
 use dvs_faults::FaultPlan;
-use dvs_metrics::RunReport;
+use dvs_metrics::{RunReport, RunTotals};
 use dvs_sim::DvsError;
 use dvs_workload::FrameTrace;
 
@@ -50,15 +55,25 @@ pub struct BatchLane<P: FramePacer> {
     /// Pooled run-state buffers and fault tables, reused across successive
     /// batches.
     pub arena: RunArena,
-    /// The lane's output report (fully reset before each run).
+    /// The lane's output report (fully reset before each [`run_batch`]).
     pub out: RunReport,
+    /// The lane's run folded into totals (fully reset before each
+    /// [`tally_batch`]).
+    pub totals: RunTotals,
 }
 
 impl<P: FramePacer> BatchLane<P> {
     /// A lane with cold buffers; the first run grows them to the working
     /// set and later [`BatchLane::reload`]s reuse them.
     pub fn new(trace: FrameTrace, plan: Option<FaultPlan>, pacer: P) -> Self {
-        BatchLane { trace, plan, pacer, arena: RunArena::new(), out: RunReport::default() }
+        BatchLane {
+            trace,
+            plan,
+            pacer,
+            arena: RunArena::new(),
+            out: RunReport::default(),
+            totals: RunTotals::default(),
+        }
     }
 
     /// Re-arms the lane for the next batch, keeping the warm arena and
@@ -80,6 +95,29 @@ pub fn run_batch<P: FramePacer>(
     cfg: &PipelineConfig,
     lanes: &mut [BatchLane<P>],
 ) -> Result<CoreStats, DvsError> {
+    run_lanes(cfg, lanes, false)
+}
+
+/// [`run_batch`] folding each lane's run into its `totals` slot instead of
+/// building records in its `out` report: the totals equal
+/// [`RunReport::totals`] of the report [`run_batch`] would fill, bit for
+/// bit. The run's janks, faults and transitions land in the lane arena's
+/// scratch report. Validation and the returned counters are
+/// [`run_batch`]'s.
+pub fn tally_batch<P: FramePacer>(
+    cfg: &PipelineConfig,
+    lanes: &mut [BatchLane<P>],
+) -> Result<CoreStats, DvsError> {
+    run_lanes(cfg, lanes, true)
+}
+
+/// Validates every lane, then runs each to completion, into its report or,
+/// with `tally`, into its totals.
+fn run_lanes<P: FramePacer>(
+    cfg: &PipelineConfig,
+    lanes: &mut [BatchLane<P>],
+    tally: bool,
+) -> Result<CoreStats, DvsError> {
     // Qualified so dvs-lint's call graph resolves it to this one function.
     let sim = Simulator::new(cfg);
     for lane in lanes.iter() {
@@ -87,14 +125,16 @@ pub fn run_batch<P: FramePacer>(
     }
     let mut total = CoreStats::default();
     for lane in lanes.iter_mut() {
-        let stats = execute(
-            cfg,
-            &lane.trace,
-            &mut lane.pacer,
-            lane.plan.as_ref(),
-            &mut lane.arena,
-            &mut lane.out,
-        );
+        let (trace, pacer, plan) = (&lane.trace, &mut lane.pacer, lane.plan.as_ref());
+        let stats = if tally {
+            lane.totals = RunTotals::default();
+            let totals = &mut lane.totals;
+            lane.arena.with_scratch_report(|arena, out| {
+                execute(cfg, trace, pacer, plan, arena, out, Some(totals))
+            })
+        } else {
+            execute(cfg, trace, pacer, plan, &mut lane.arena, &mut lane.out, None)
+        };
         total.events_processed += stats.events_processed;
         total.events_scheduled += stats.events_scheduled;
     }
@@ -135,6 +175,40 @@ mod tests {
                 .with_faults(lane.plan.as_ref())
                 .run(&lane.trace, &mut VsyncPacer::new());
             assert_eq!(json(&lane.out), json(&solo), "lane {} diverged", lane.trace.name);
+        }
+    }
+
+    #[test]
+    fn tallied_lanes_fold_what_their_reports_hold() {
+        let cfg = PipelineConfig::new(60, 4);
+        let lanes = || -> Vec<BatchLane<VsyncPacer>> {
+            (0..5)
+                .map(|i| {
+                    let trace = trace_of(&format!("tally{i}"), 60, 30 + 11 * i, 2.0 + i as f64);
+                    let plan = (i % 2 == 1)
+                        .then(|| named_profile("mixed", format!("tally/{i}")))
+                        .flatten();
+                    BatchLane::new(trace, plan, VsyncPacer::new())
+                })
+                .collect()
+        };
+        let (mut reported, mut tallied) = (lanes(), lanes());
+        let run = run_batch(&cfg, &mut reported).expect("batch runs");
+        // Twice through the same lanes, reloaded with fresh pacers: each
+        // tally starts from zero.
+        tally_batch(&cfg, &mut tallied).expect("batch tallies");
+        for lane in &mut tallied {
+            let (trace, plan) = (lane.trace.clone(), lane.plan.take());
+            lane.reload(trace, plan, VsyncPacer::new());
+        }
+        let tally = tally_batch(&cfg, &mut tallied).expect("batch tallies");
+        assert_eq!(run, tally, "the fold dispatches the same events");
+        for (r, t) in reported.iter().zip(&tallied) {
+            let want = r.out.totals();
+            assert_eq!(t.totals, want, "lane {}", r.trace.name);
+            assert_eq!(t.totals.latency_ms_sum.to_bits(), want.latency_ms_sum.to_bits());
+            assert_eq!(t.totals.work_ms_sum.to_bits(), want.work_ms_sum.to_bits());
+            assert!(t.out.records.is_empty(), "a tallied lane builds no records");
         }
     }
 

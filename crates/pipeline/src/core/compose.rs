@@ -232,7 +232,7 @@ impl<'a, F: FaultView> CompositeState<'a, F> {
             .into_iter()
             .map(|s| {
                 let deferred = s.deferred_latches();
-                s.finish(&timeline);
+                s.finish(&timeline, None);
                 deferred
             })
             .collect()

@@ -22,7 +22,7 @@
 //! queue insert inlines into each step.
 
 use dvs_faults::FaultPlan;
-use dvs_metrics::RunReport;
+use dvs_metrics::{RunReport, RunTotals};
 use dvs_workload::FrameTrace;
 
 use super::{CoreStats, Ev, PipeState, RunArena, StepOutcome};
@@ -37,8 +37,9 @@ fn heap_capacity(render_threads: usize) -> usize {
 }
 
 /// Runs one trace to completion on the run queue, under `plan`'s faults
-/// (`None` runs clean), writing the run report into `out` and using `arena`
-/// buffers for all transient state.
+/// (`None` runs clean), writing the run report into `out` (its frames folded
+/// into `totals` instead of recorded, when given) and using `arena` buffers
+/// for all transient state.
 pub(crate) fn execute(
     cfg: &PipelineConfig,
     trace: &FrameTrace,
@@ -46,6 +47,7 @@ pub(crate) fn execute(
     plan: Option<&FaultPlan>,
     arena: &mut RunArena,
     out: &mut RunReport,
+    totals: Option<&mut RunTotals>,
 ) -> CoreStats {
     let (scratch, heap, faults) = arena.split();
     faults.reload(plan, &cfg.fault_horizon(trace.len()));
@@ -67,6 +69,6 @@ pub(crate) fn execute(
         events_scheduled: heap.total_scheduled(),
         polls: 0,
     };
-    st.finish();
+    st.finish(totals);
     stats
 }

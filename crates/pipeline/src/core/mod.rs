@@ -41,7 +41,9 @@ use std::collections::VecDeque;
 use dvs_buffer::{BufferQueue, FrameMeta, SlotId};
 use dvs_display::{Panel, PanelOutcome, PulseEvent, RefreshRate, TickCursor, VsyncTimeline};
 use dvs_faults::{CompiledFaults, FaultSchedule};
-use dvs_metrics::{FaultClass, FaultRecord, FrameKind, FrameRecord, JankEvent, RunReport};
+use dvs_metrics::{
+    FaultClass, FaultRecord, FrameKind, FrameRecord, JankEvent, RunReport, RunTotals,
+};
 use dvs_sim::{EventQueue, SimDuration, SimTime};
 use dvs_workload::FrameTrace;
 
@@ -194,12 +196,14 @@ struct FrameState {
 /// freshly-constructed state (including the event queue's counter, see
 /// [`EventQueue::reset`]) before the first event fires.
 ///
-/// The two [`RunReport`] slots serve the segmented runner: `segment` is the
-/// per-segment output that gets drained into the caller's combined report,
-/// and `combined` is a scratch slot for callers (calibration, sweep cells)
-/// that need a full report only transiently — see
-/// [`RunArena::with_scratch_report`]. The fault tables are the event-heap
-/// engine's [`CompiledFaults`], reloaded from each run's plan.
+/// The two [`RunReport`] slots serve the segmented runner and the fold:
+/// `segment` is the per-segment output that gets drained into the caller's
+/// combined report, and `combined` is a scratch slot — see
+/// [`RunArena::with_scratch_report`] — that takes the janks, faults and
+/// transitions of every run folded into [`RunTotals`] by
+/// [`Simulator::try_tally_into`](crate::Simulator::try_tally_into). The
+/// fault tables are the event-heap engine's [`CompiledFaults`], reloaded
+/// from each run's plan.
 pub struct RunArena {
     frames: Vec<Option<FrameState>>,
     rs_pending: VecDeque<usize>,
@@ -229,8 +233,8 @@ impl RunArena {
     /// Lends out the arena's scratch [`RunReport`] slot alongside the arena
     /// itself, so a caller can run into a pooled report, derive scalars from
     /// it, and hand the allocation back — all without a fresh report per
-    /// call. Used by calibration (one run per segment a measurement
-    /// re-simulates) and by aggregate-mode sweep cells.
+    /// call. Used by the fault matrix's cells, which aggregate frame kinds,
+    /// and by every run folded into [`RunTotals`].
     pub fn with_scratch_report<R>(
         &mut self,
         f: impl FnOnce(&mut RunArena, &mut RunReport) -> R,
@@ -239,12 +243,6 @@ impl RunArena {
         let result = f(self, &mut out);
         self.combined = out;
         result
-    }
-
-    /// Capacity of the pooled frame-record vector in the scratch report
-    /// (exposed for capacity-stability assertions in tests).
-    pub fn scratch_record_capacity(&self) -> usize {
-        self.combined.records.capacity()
     }
 }
 
@@ -683,12 +681,65 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
     /// across engines by construction — this is the single assembly path,
     /// and (unlike a return-by-value report) it allocates nothing once the
     /// output's vectors have reached the run's working set.
-    pub(crate) fn finish(mut self, timeline: &VsyncTimeline) {
+    ///
+    /// With `totals`, the run's frames are folded into the caller's running
+    /// [`RunTotals`] instead of becoming records: the report still gets its
+    /// janks, faults, transitions and span, but no record is built or
+    /// classified. A run whose presents leave frame order takes the record
+    /// path and is reduced from its sorted records, so every sum adds in
+    /// record order either way.
+    pub(crate) fn finish(mut self, timeline: &VsyncTimeline, totals: Option<&mut RunTotals>) {
         self.truncated |= self.presented < self.trace.len();
         self.out.truncated = self.truncated;
         self.out.max_queued = self.queue.max_queued_observed();
         self.out.mode_transitions = self.pacer.take_transitions();
+        (self.out.display_time, self.out.ticks_active) = match self.first_present_tick {
+            Some(first) => {
+                let last = self.last_present_tick;
+                let span = timeline.tick_time(last) - timeline.tick_time(first);
+                (span + timeline.period_at(last), last - first + 1)
+            }
+            None => (SimDuration::ZERO, 0),
+        };
+        let Some(totals) = totals else {
+            self.assemble_records(timeline);
+            return;
+        };
+        totals.janks += self.out.janks.len();
+        totals.display_time += self.out.display_time;
+        totals.ticks_active += self.out.ticks_active;
+        if !self.tally_frames(totals) {
+            self.assemble_records(timeline);
+            for record in &self.out.records {
+                totals.add_record(record);
+            }
+        }
+    }
 
+    /// Adds every presented frame to `totals` in frame order, and returns
+    /// `true`; or returns `false`, with `totals` untouched, as soon as a
+    /// present leaves frame order (record order is present order).
+    fn tally_frames(&self, totals: &mut RunTotals) -> bool {
+        let (mut tally, mut last_tick) = (*totals, 0);
+        for (s, cost) in self.frames.iter().zip(&self.trace.frames) {
+            let Some(FrameState {
+                basis, queued_at: Some(_), present: Some((ptick, ptime)), ..
+            }) = s
+            else {
+                continue;
+            };
+            if *ptick < last_tick {
+                return false;
+            }
+            last_tick = *ptick;
+            tally.add_frame(ptime.saturating_since(*basis), cost.ui + cost.rs);
+        }
+        *totals = tally;
+        true
+    }
+
+    /// Builds the presented frames' records into the output report.
+    fn assemble_records(&mut self, timeline: &VsyncTimeline) {
         // Presented frames become records in one pass over the frame
         // states, classified as they are built. The queue is FIFO in frame
         // order, so frame order is present order and the jank scan can run
@@ -728,16 +779,6 @@ impl<'a, F: FaultView> SurfaceState<'a, F> {
             for r in records.iter_mut() {
                 r.kind = classify.next(janks, r);
             }
-        }
-
-        if let Some(first) = self.first_present_tick {
-            let last = self.last_present_tick;
-            let span = timeline.tick_time(last) - timeline.tick_time(first);
-            self.out.display_time = span + timeline.period_at(last);
-            self.out.ticks_active = last - first + 1;
-        } else {
-            self.out.display_time = SimDuration::ZERO;
-            self.out.ticks_active = 0;
         }
     }
 }
@@ -867,9 +908,11 @@ impl<'a, F: FaultView> PipeState<'a, F> {
         StepOutcome::Continue
     }
 
-    /// Consumes the state, completing the borrowed output report.
-    pub(crate) fn finish(self) {
-        self.surface.finish(&self.timeline);
+    /// Consumes the state, completing the borrowed output report (and
+    /// folding the run into `totals` when given; see
+    /// [`SurfaceState::finish`]).
+    pub(crate) fn finish(self, totals: Option<&mut RunTotals>) {
+        self.surface.finish(&self.timeline, totals);
     }
 }
 
@@ -882,10 +925,9 @@ mod tests {
     /// No simulated run presents out of frame order, so `finish`'s
     /// fallback is driven here directly: four frames presented at ticks
     /// 3, 6, 5 and 9 (frames 1 and 2 swapped), with janks at ticks 4, 7
-    /// and 8. Classified in frame order, frame 1 would take the jank at
-    /// tick 4; in present order frame 2 does.
-    #[test]
-    fn presents_out_of_frame_order_are_sorted_then_classified() {
+    /// and 8. Finishes the run into a fresh report, folding it into
+    /// `totals` when given.
+    fn finish_out_of_order(totals: Option<&mut RunTotals>) -> RunReport {
         let cfg = PipelineConfig::new(60, 3);
         let timeline = cfg.build_timeline();
         let mut trace = FrameTrace::new("out-of-order", 60);
@@ -897,12 +939,12 @@ mod tests {
         let mut out = RunReport::default();
         let (scratch, _, faults) = arena.split();
         let mut s = SurfaceState::new(&cfg, &trace, &mut pacer, faults, scratch, &mut out);
-        // (present tick, latency in ms) per frame; 2.2 periods is 36.7 ms.
-        for (frame, (tick, latency_ms)) in
-            [(3, 20), (6, 40), (5, 20), (9, 20)].into_iter().enumerate()
+        // (present tick, latency in µs) per frame; 2.2 periods is 36.7 ms.
+        for (frame, (tick, latency_us)) in
+            [(3, 20_100), (6, 40_300), (5, 19_700), (9, 20_900)].into_iter().enumerate()
         {
             let present = timeline.tick_time(tick);
-            let basis = present - SimDuration::from_millis(latency_ms);
+            let basis = present - SimDuration::from_micros(latency_us);
             s.frames[frame] = Some(FrameState {
                 trigger: basis,
                 basis,
@@ -917,8 +959,15 @@ mod tests {
         }
         s.presented = 4;
         (s.first_present_tick, s.last_present_tick) = (Some(3), 9);
-        s.finish(&timeline);
+        s.finish(&timeline, totals);
+        out
+    }
 
+    /// Classified in frame order, frame 1 would take the jank at tick 4; in
+    /// present order frame 2 does.
+    #[test]
+    fn presents_out_of_frame_order_are_sorted_then_classified() {
+        let out = finish_out_of_order(None);
         let got: Vec<(u64, u64, FrameKind)> =
             out.records.iter().map(|r| (r.seq, r.present_tick, r.kind)).collect();
         assert_eq!(
@@ -930,5 +979,22 @@ mod tests {
                 (3, 9, FrameKind::Dropped),
             ]
         );
+
+        // The fold falls back to those sorted records, and continues the
+        // caller's running totals from them in present order.
+        let mut earlier = RunTotals::default();
+        earlier.add_frame(SimDuration::from_micros(33_333), SimDuration::from_micros(7_100));
+        let mut totals = earlier;
+        let folded = finish_out_of_order(Some(&mut totals));
+        assert_eq!(folded, out, "the fallback builds the record path's report");
+        let mut want = earlier;
+        want.janks += 3;
+        want.display_time += out.display_time;
+        want.ticks_active += out.ticks_active;
+        out.records.iter().for_each(|r| want.add_record(r));
+        assert_eq!(totals.latency_ms_sum.to_bits(), want.latency_ms_sum.to_bits());
+        assert_eq!(totals.work_ms_sum.to_bits(), want.work_ms_sum.to_bits());
+        assert_eq!(totals, want);
+        assert_eq!((totals.records, totals.ticks_active), (5, 7));
     }
 }

@@ -23,7 +23,7 @@
 //! fault tables from a second, independent path.
 
 use dvs_faults::FaultSchedule;
-use dvs_metrics::RunReport;
+use dvs_metrics::{RunReport, RunTotals};
 use dvs_sim::{SimDuration, SimTime};
 use dvs_workload::FrameTrace;
 
@@ -95,7 +95,8 @@ impl<E: Copy> PollingDispatcher<E> {
 }
 
 /// Runs one trace to completion on the tick-stepper, writing the run report
-/// into `out` and using `arena` buffers for the state machine's scratch.
+/// into `out` (its frames folded into `totals` instead of recorded, when
+/// given) and using `arena` buffers for the state machine's scratch.
 ///
 /// The dispatcher itself stays freshly allocated on purpose: this engine is
 /// the equivalence oracle, and keeping its dispatch structure independent of
@@ -108,6 +109,7 @@ pub(crate) fn execute(
     schedule: FaultSchedule,
     arena: &mut RunArena,
     out: &mut RunReport,
+    totals: Option<&mut RunTotals>,
 ) -> CoreStats {
     let (scratch, _, _) = arena.split();
     let mut st = PipeState::new(cfg, trace, pacer, schedule, scratch, out);
@@ -125,6 +127,6 @@ pub(crate) fn execute(
         events_scheduled: dispatch.next_seq,
         polls: dispatch.polls,
     };
-    st.finish();
+    st.finish(totals);
     stats
 }

@@ -44,7 +44,7 @@ mod simulator;
 pub use calibrate::{calibrate_spec, calibrate_spec_pooled, CalibrationOutcome};
 pub use composite::{CompositeSim, CompositeStats, SurfaceRun};
 pub use config::PipelineConfig;
-pub use core::batch::{run_batch, BatchLane};
+pub use core::batch::{run_batch, tally_batch, BatchLane};
 pub use core::{CompositeArena, CoreStats, RunArena, SimCore};
 pub use pacer::{FramePacer, FramePlan, PacerCtx, VsyncPacer};
 pub use runner::{run_segmented, run_segments_into};

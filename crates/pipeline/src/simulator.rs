@@ -5,11 +5,13 @@
 //! engine ([`Simulator::with_core`]) and an optional injected fault plan
 //! ([`Simulator::with_faults`]) — and then runs through one fallible pooled
 //! call, [`Simulator::try_run_into`], which validates the trace and hands it
-//! to the selected engine. [`Simulator::run`] is the one convenience
-//! wrapper: a fresh arena and report, panicking on invalid input.
+//! to the selected engine. [`Simulator::try_tally_into`] is the same run for
+//! callers that want only its [`RunTotals`]: the frames are folded, never
+//! recorded. [`Simulator::run`] is the one convenience wrapper: a fresh
+//! arena and report, panicking on invalid input.
 
 use dvs_faults::{FaultPlan, FaultSchedule};
-use dvs_metrics::RunReport;
+use dvs_metrics::{RunReport, RunTotals};
 use dvs_sim::DvsError;
 use dvs_workload::FrameTrace;
 
@@ -88,17 +90,53 @@ impl<'c> Simulator<'c> {
         out: &mut RunReport,
     ) -> Result<CoreStats, DvsError> {
         self.validate(trace)?;
-        Ok(match self.core {
+        Ok(self.dispatch(trace, pacer, arena, out, None))
+    }
+
+    /// Runs the trace like [`Simulator::try_run_into`] — the same
+    /// validation, event loop and [`CoreStats`] — but folds it into the
+    /// caller's running `totals` instead of building frame records, for
+    /// callers that reduce a run to FDPS, latency and energy anyway.
+    ///
+    /// Call it once per run, in order, to fold several runs (the segments
+    /// of a scenario) into one [`RunTotals`]: the result equals
+    /// [`RunReport::totals`] of the merged report, bit for bit. The run's
+    /// janks, fault firings and mode transitions land in the arena's
+    /// scratch report ([`RunArena::with_scratch_report`]), which the next
+    /// run resets.
+    pub fn try_tally_into(
+        &self,
+        trace: &FrameTrace,
+        pacer: &mut dyn FramePacer,
+        arena: &mut RunArena,
+        totals: &mut RunTotals,
+    ) -> Result<CoreStats, DvsError> {
+        self.validate(trace)?;
+        Ok(arena.with_scratch_report(|arena, out| {
+            self.dispatch(trace, pacer, arena, out, Some(totals))
+        }))
+    }
+
+    /// Hands a validated trace to the selected engine.
+    fn dispatch(
+        &self,
+        trace: &FrameTrace,
+        pacer: &mut dyn FramePacer,
+        arena: &mut RunArena,
+        out: &mut RunReport,
+        totals: Option<&mut RunTotals>,
+    ) -> CoreStats {
+        match self.core {
             SimCore::EventHeap => {
-                core::event_heap::execute(self.cfg, trace, pacer, self.plan, arena, out)
+                core::event_heap::execute(self.cfg, trace, pacer, self.plan, arena, out, totals)
             }
             SimCore::Reference => {
                 let schedule = self.plan.map_or_else(FaultSchedule::default, |p| {
                     p.materialize(&self.cfg.fault_horizon(trace.len()))
                 });
-                core::reference::execute(self.cfg, trace, pacer, schedule, arena, out)
+                core::reference::execute(self.cfg, trace, pacer, schedule, arena, out, totals)
             }
-        })
+        }
     }
 
     /// [`Simulator::try_run_into`] for crate callers whose traces are valid
@@ -116,6 +154,25 @@ impl<'c> Simulator<'c> {
     ) {
         if let Err(e) = self.try_run_into(trace, pacer, arena, out) {
             // dvs-lint: allow(panic, reason = "documented panicking wrapper; fallible callers use try_run_into")
+            panic!("{e}");
+        }
+    }
+
+    /// [`Simulator::try_tally_into`] for crate callers whose traces are
+    /// valid by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Simulator::run`].
+    pub(crate) fn tally_into(
+        &self,
+        trace: &FrameTrace,
+        pacer: &mut dyn FramePacer,
+        arena: &mut RunArena,
+        totals: &mut RunTotals,
+    ) {
+        if let Err(e) = self.try_tally_into(trace, pacer, arena, totals) {
+            // dvs-lint: allow(panic, reason = "documented panicking wrapper; fallible callers use try_tally_into")
             panic!("{e}");
         }
     }

@@ -23,7 +23,8 @@ fn main() {
     let spec = calibrated.spec;
     println!(
         "calibrated key-frame rate: {:.2}/s (baseline measures {:.2} FDPS)\n",
-        spec.cost.long_rate_per_sec, calibrated.measured_fdps
+        spec.cost.long_rate_per_sec,
+        calibrated.baseline.fdps()
     );
 
     println!(

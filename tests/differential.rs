@@ -22,11 +22,14 @@
 //! wall compares, and each surface of a contended composite run, is also
 //! held to the classification rule applied on its own: records sorted
 //! stably by present tick, a jank scan, then the 2.2-period threshold.
+//! Every report it compares is also run again through the fold that skips
+//! the records (`Simulator::try_tally_into`), on the same engine, and the
+//! folded totals must equal the report's own, bit for bit.
 //!
 //! The same wall holds baseline calibration, which reuses segment results
 //! across the rates of one search, bit-identical to a search that measures
 //! every rate with a full segmented run, and whose handed-over trace and
-//! baseline measurement equal a fresh generation and a fresh run.
+//! baseline totals equal a fresh generation and a fresh run.
 
 use proptest::prelude::*;
 
@@ -34,7 +37,7 @@ use dvs_bench::suite75;
 use dvs_bench::sweep::SweepEngine;
 use dvs_core::{DvsyncConfig, DvsyncPacer, WatchdogConfig};
 use dvs_faults::{FaultEvent, FaultPlan, StochasticFault, StochasticKind};
-use dvs_metrics::{FrameKind, RunReport};
+use dvs_metrics::{FrameKind, RunReport, RunTotals};
 use dvs_pipeline::{
     calibrate_spec_pooled, run_segmented, CompositeSim, FramePacer, PipelineConfig, RunArena,
     SimCore, Simulator, SurfaceRun, VsyncPacer,
@@ -74,18 +77,40 @@ fn assert_kinds_follow_the_two_pass_rule(name: &str, report: &RunReport, panel: 
     }
 }
 
-/// Runs one trace on the given engine, checks its frame kinds, and
-/// serializes the full report.
+/// Totals with their f64 sums as bits, so equality is bit for bit.
+fn totals_bits(t: &RunTotals) -> (usize, SimDuration, u64, usize, u64, u64) {
+    let (latency, work) = (t.latency_ms_sum.to_bits(), t.work_ms_sum.to_bits());
+    (t.janks, t.display_time, t.ticks_active, t.records, latency, work)
+}
+
+/// A fresh VSync pacer, boxed as the walls' pacer factories return them.
+fn vsync_pacer() -> Box<dyn FramePacer> {
+    Box::new(VsyncPacer::new())
+}
+
+/// Runs one trace on the given engine, checks its frame kinds, folds the
+/// same run into totals and checks them against the report's, and
+/// serializes the full report. `make_pacer` gives each run a fresh pacer.
 fn report_json(
     trace: &FrameTrace,
     buffers: usize,
     core: SimCore,
-    pacer: &mut dyn FramePacer,
+    mut make_pacer: impl FnMut() -> Box<dyn FramePacer>,
     plan: Option<&FaultPlan>,
 ) -> String {
     let cfg = PipelineConfig::new(trace.rate_hz, buffers);
-    let report = Simulator::new(&cfg).with_core(core).with_faults(plan).run(trace, pacer);
-    assert_kinds_follow_the_two_pass_rule(&format!("{} on {core:?}", trace.name), &report, &cfg);
+    let sim = Simulator::new(&cfg).with_core(core).with_faults(plan);
+    let report = sim.run(trace, make_pacer().as_mut());
+    let name = format!("{} on {core:?}", trace.name);
+    assert_kinds_follow_the_two_pass_rule(&name, &report, &cfg);
+    let mut folded = RunTotals::default();
+    sim.try_tally_into(trace, make_pacer().as_mut(), &mut RunArena::new(), &mut folded)
+        .expect("a trace that ran also folds");
+    assert_eq!(
+        totals_bits(&folded),
+        totals_bits(&report.totals()),
+        "{name}: the fold diverged from the report's totals"
+    );
     serde_json::to_string(&report).expect("reports serialize")
 }
 
@@ -98,8 +123,8 @@ fn assert_cores_agree(
     mut make_pacer: impl FnMut() -> Box<dyn FramePacer>,
     plan: Option<&FaultPlan>,
 ) -> String {
-    let heap = report_json(trace, buffers, SimCore::EventHeap, make_pacer().as_mut(), plan);
-    let reference = report_json(trace, buffers, SimCore::Reference, make_pacer().as_mut(), plan);
+    let heap = report_json(trace, buffers, SimCore::EventHeap, &mut make_pacer, plan);
+    let reference = report_json(trace, buffers, SimCore::Reference, &mut make_pacer, plan);
     assert_eq!(heap, reference, "engines diverged on {name}");
     heap
 }
@@ -227,9 +252,9 @@ fn sweep_differential_is_jobs_invariant() {
     let traces: Vec<FrameTrace> = suite75::bench_suite().iter().map(|s| s.generate()).collect();
     let cell = |i: usize| {
         let trace = &traces[i];
-        let heap = report_json(trace, 3, SimCore::EventHeap, &mut VsyncPacer::new(), None);
+        let heap = report_json(trace, 3, SimCore::EventHeap, vsync_pacer, None);
         if i.is_multiple_of(5) {
-            let reference = report_json(trace, 3, SimCore::Reference, &mut VsyncPacer::new(), None);
+            let reference = report_json(trace, 3, SimCore::Reference, vsync_pacer, None);
             assert_eq!(heap, reference, "engines diverged inside sweep cell {i}");
         }
         heap
@@ -260,7 +285,7 @@ fn pooled_arena_runs_are_byte_identical_across_cores_and_reuse() {
                 .expect("valid trace");
             pooled_json.push(serde_json::to_string(&out).expect("reports serialize"));
         }
-        let fresh = report_json(&trace, 4, SimCore::EventHeap, &mut VsyncPacer::new(), Some(&plan));
+        let fresh = report_json(&trace, 4, SimCore::EventHeap, vsync_pacer, Some(&plan));
         assert_eq!(pooled_json[0], pooled_json[1], "pooled engines diverged on {}", spec.name);
         assert_eq!(pooled_json[0], fresh, "pooled run diverged from fresh on {}", spec.name);
     }
@@ -423,16 +448,17 @@ fn memoized_calibration_matches_measuring_every_rate() {
             rate.to_bits(),
             "fitted rate on {at}"
         );
-        assert_eq!(out.measured_fdps.to_bits(), fdps.to_bits(), "FDPS on {at}");
+        assert_eq!(out.baseline.fdps().to_bits(), fdps.to_bits(), "FDPS on {at}");
         assert_eq!(out.iterations, iterations, "iterations on {at}");
     }
 }
 
 /// Calibration hands over its fitted trace and its best measurement, and
 /// the sweep serves both as the scenario's trace and its baseline cell. So
-/// the trace must be the fitted spec's, and the measurement must be a fresh
-/// segmented VSync run of it, bit for bit — on every case of the wall and
-/// every suite75 scenario (46 of which have a zero target).
+/// the trace must be the fitted spec's, and the measurement's totals —
+/// records and ticks active included — must be a fresh segmented VSync
+/// run's, bit for bit, on every case of the wall and every suite75
+/// scenario (46 of which have a zero target).
 #[test]
 fn calibration_hands_over_its_fitted_trace_and_baseline_run() {
     let mut cases = calibration_wall();
@@ -442,13 +468,8 @@ fn calibration_hands_over_its_fitted_trace_and_baseline_run() {
         let out = calibrate_spec_pooled(&spec, buffers, &mut arena);
         let at = format!("{} (seed {:x}, {buffers} buffers)", spec.name, spec.seed);
         assert!(out.trace == out.spec.generate(), "handed-over trace on {at}");
-        let baseline = run_segmented(&out.spec, buffers, || Box::new(VsyncPacer::new()));
-        assert_eq!(out.measured_fdps.to_bits(), baseline.fdps().to_bits(), "FDPS on {at}");
-        assert_eq!(
-            out.measured_latency_ms.to_bits(),
-            baseline.mean_latency_ms().to_bits(),
-            "mean latency on {at}"
-        );
+        let baseline = run_segmented(&out.spec, buffers, vsync_pacer).totals();
+        assert_eq!(totals_bits(&out.baseline), totals_bits(&baseline), "baseline on {at}");
     }
 }
 
