@@ -22,10 +22,14 @@ use dvs_core::{
     PredictionQuality, VelocityExtrapolation,
 };
 use dvs_input::fling;
-use dvs_pipeline::{calibrate_spec, run_segmented, PipelineConfig, Simulator, VsyncPacer};
+use dvs_pipeline::{
+    calibrate_spec, run_segmented, PipelineConfig, RunArena, Simulator, VsyncPacer,
+};
 use dvs_sim::{SimDuration, SimTime};
 use dvs_workload::{CostProfile, FrameCost, FrameTrace, ScenarioSpec};
 use serde::{Deserialize, Serialize};
+
+use crate::sweep::{tally_segments, PacerKind};
 
 /// One row of the pre-render-limit sweep.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -392,28 +396,26 @@ pub struct BufferingRow {
 pub fn buffering_history() -> Vec<BufferingRow> {
     let spec =
         ScenarioSpec::new("history", 60, 1800, CostProfile::scattered(1.5)).with_paper_fdps(2.0);
-    let fitted = calibrate_spec(&spec, 3).spec;
-
-    let mut rows = Vec::new();
-    for (label, buffers) in [("VSync double buffering", 2usize), ("VSync triple buffering", 3)] {
-        let report = run_segmented(&fitted, buffers, || Box::new(VsyncPacer::new()));
-        rows.push(BufferingRow {
-            architecture: label.to_string(),
-            fdps: report.fdps(),
-            latency_ms: report.mean_latency_ms(),
-        });
-    }
-    for buffers in [4usize, 5] {
-        let report = run_segmented(&fitted, buffers, move || {
-            Box::new(DvsyncPacer::new(DvsyncConfig::with_buffers(buffers)))
-        });
-        rows.push(BufferingRow {
-            architecture: format!("D-VSync {buffers} buffers"),
-            fdps: report.fdps(),
-            latency_ms: report.mean_latency_ms(),
-        });
-    }
-    rows
+    // Calibration's best measurement is the triple-buffering row; the other
+    // rows run on the fitted trace it hands over.
+    let fitted = calibrate_spec(&spec, 3);
+    let segments = fitted.spec.segments_of(&fitted.trace);
+    let mut arena = RunArena::new();
+    let rate = fitted.spec.rate_hz;
+    let mut run = |buffers, pacer| tally_segments(&segments, rate, buffers, pacer, &mut arena);
+    [
+        ("VSync double buffering", run(2, PacerKind::Vsync)),
+        ("VSync triple buffering", fitted.baseline),
+        ("D-VSync 4 buffers", run(4, PacerKind::Dvsync)),
+        ("D-VSync 5 buffers", run(5, PacerKind::Dvsync)),
+    ]
+    .into_iter()
+    .map(|(label, totals)| BufferingRow {
+        architecture: label.to_string(),
+        fdps: totals.fdps(),
+        latency_ms: totals.mean_latency_ms(),
+    })
+    .collect()
 }
 
 /// Renders the buffering ladder.

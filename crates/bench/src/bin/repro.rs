@@ -367,10 +367,12 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # population-scale fleet simulation: shards of the seeded\n\
          \x20                 # device space run as resilient-executor cells and reduce\n\
          \x20                 # to mergeable sketches; the report is byte-identical for\n\
-         \x20                 # any --jobs/--shards/--engine (docs/fleet.md). Same\n\
+         \x20                 # any --jobs/--shards/--engine (docs/fleet.md). Both\n\
+         \x20                 # engine names (batched, the default, and per-device)\n\
+         \x20                 # run the same shard loop. Same\n\
          \x20                 # --inject-* fault taps as repro sweep\n\
          \x20      repro fleet --bench [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # fleet throughput: SoA batch kernel vs per-device oracle,\n\
+         \x20                 # fleet throughput under both engine names,\n\
          \x20                 # floor-gated at 1M simulated devices/minute (--check\n\
          \x20                 # implies --bench; --emit-json defaults to BENCH_fleet.json)\n\
          \x20      --jobs N   sweep worker count (default: available parallelism;\n\

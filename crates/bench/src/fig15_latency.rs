@@ -5,8 +5,8 @@
 //! at the two-period pipeline floor for each refresh rate; the VSync numbers
 //! carry the extra periods of buffer stuffing after drops.
 
-use crate::suite::run_dvsync;
-use dvs_pipeline::calibrate_spec;
+use crate::sweep::{tally_segments, PacerKind};
+use dvs_pipeline::{calibrate_spec, RunArena};
 use dvs_workload::{scenarios, ScenarioSpec};
 use serde::{Deserialize, Serialize};
 
@@ -44,15 +44,19 @@ fn measure(
     let mut d_total = 0.0;
     let mut v_frames = 0usize;
     let mut d_frames = 0usize;
+    let mut arena = RunArena::new();
     for raw in specs {
-        // Calibration's best measurement is the fitted spec's VSync baseline.
+        // Calibration's best measurement is the fitted spec's VSync
+        // baseline, and D-VSync runs on the fitted trace it hands over.
         let fitted = calibrate_spec(raw, baseline_buffers);
         let v = fitted.baseline;
-        let d = run_dvsync(&fitted.spec, dvsync_buffers);
+        let segments = fitted.spec.segments_of(&fitted.trace);
+        let rate = fitted.spec.rate_hz;
+        let d = tally_segments(&segments, rate, dvsync_buffers, PacerKind::Dvsync, &mut arena);
         v_total += v.mean_latency_ms() * v.records as f64;
-        d_total += d.mean_latency_ms() * d.records.len() as f64;
+        d_total += d.mean_latency_ms() * d.records as f64;
         v_frames += v.records;
-        d_frames += d.records.len();
+        d_frames += d.records;
     }
     DeviceLatency {
         device: device.to_string(),

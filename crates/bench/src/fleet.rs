@@ -16,17 +16,16 @@
 //! * sketch merging is byte-for-byte associative and commutative, so the
 //!   final report is invariant under `--jobs`, shard count, and shard
 //!   order;
-//! * the batched engine ([`FleetEngine::Batched`], the production default)
-//!   is byte-identical to per-device [`Simulator`] runs
-//!   ([`FleetEngine::PerDevice`], the differential oracle).
+//! * both engine names run [`run_fleet_shard`]'s one loop, so they give
+//!   the same bytes; `tests/fleet_differential.rs` pins that loop to a
+//!   sketch built from fresh per-device [`Simulator`] runs.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_faults::named_profile;
 use dvs_metrics::{FleetSketch, PartialAccounting, PowerModel, QuarantineReport, RunTotals};
-use dvs_pipeline::{tally_batch, BatchLane, PipelineConfig, RunArena, Simulator};
+use dvs_pipeline::{PipelineConfig, RunArena, Simulator};
 use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::{DeviceRun, FleetSpec, FrameTrace};
 use serde::{Deserialize, Serialize};
@@ -34,21 +33,22 @@ use serde::{Deserialize, Serialize};
 use crate::checkpoint::fingerprint_of;
 use crate::resilient::{decode_slots, execute_cells, restore_progress, ResilienceConfig};
 
-/// How many homogeneous lanes the batched engine hands to one
-/// [`tally_batch`] call (the folding twin of
-/// [`run_batch`](dvs_pipeline::run_batch)). Each lane runs
-/// to completion in its own warm arena, so the width only sets how many
-/// arenas a shard keeps warm.
+/// How many homogeneous lanes one [`run_batch`](dvs_pipeline::run_batch)
+/// bucket holds in the repository benchmark's traced fleet copy. The fleet
+/// runner itself no longer batches: [`run_fleet_shard`] runs each device
+/// through its worker's one arena.
 pub const BATCH_WIDTH: usize = 64;
 
-/// Which engine a fleet run drives its devices through.
+/// The engine name a fleet run is bound to. Both names run the same loop,
+/// [`run_fleet_shard`], and give byte-identical reports; the name stays in
+/// the CLI and in the checkpoint fingerprint, so a checkpoint written under
+/// either still resumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEngine {
-    /// The batch kernel: devices bucketed by (rate, buffers) and handed to
-    /// [`tally_batch`] [`BATCH_WIDTH`] at a time, each lane run to
-    /// completion in a pooled arena. The production path.
+    /// The production default, and the name the repository benchmark runs.
     Batched,
-    /// One [`Simulator`] run per device. The differential oracle.
+    /// The same loop as [`FleetEngine::Batched`], under the CLI's
+    /// `--engine per-device`.
     PerDevice,
 }
 
@@ -168,11 +168,6 @@ fn observe_device(sketch: &mut FleetSketch, totals: &RunTotals) {
     sketch.observe_device(totals.fdps(), totals.mean_latency_ms(), energy_uj / 1000.0);
 }
 
-/// The per-device D-VSync pipeline configuration for a (rate, buffers) cell.
-fn fleet_config(rate_hz: u32, buffers: usize) -> PipelineConfig {
-    PipelineConfig::new(rate_hz, buffers)
-}
-
 /// Resolves a device's fault plan (`None` for clean devices).
 fn fleet_plan(spec: &FleetSpec, dev: &DeviceRun) -> Option<dvs_faults::FaultPlan> {
     if dev.is_clean() {
@@ -189,20 +184,14 @@ pub fn fleet_trace_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("dev-{index}.{}", dvs_workload::codec::BINARY_EXT))
 }
 
-/// Loads the trace for device `index` into `trace`: decoded from the
-/// recorded binary file when a trace directory is given and the recording
-/// matches the device's identity (rate and frame count), regenerated in
-/// place otherwise. Recordings are purely an accelerator — the fallback
-/// keeps any run byte-identical to a directory-less one.
-fn load_device_trace(
-    dev: &DeviceRun,
-    index: u64,
-    frames: usize,
-    dir: Option<&Path>,
-    trace: &mut FrameTrace,
-) {
+/// Loads the trace for `dev` into `trace`: decoded from the recorded
+/// binary file when a trace directory is given and the recording matches
+/// the device's identity (rate and frame count), regenerated in place
+/// otherwise. Recordings are purely an accelerator — the fallback keeps any
+/// run byte-identical to a directory-less one.
+fn load_device_trace(dev: &DeviceRun, frames: usize, dir: Option<&Path>, trace: &mut FrameTrace) {
     if let Some(dir) = dir {
-        if let Ok(recorded) = FrameTrace::load_binary(fleet_trace_path(dir, index)) {
+        if let Ok(recorded) = FrameTrace::load_binary(fleet_trace_path(dir, dev.index)) {
             if recorded.rate_hz == dev.rate_hz && recorded.len() == frames {
                 *trace = recorded;
                 return;
@@ -212,10 +201,13 @@ fn load_device_trace(
     dev.trace_into(trace);
 }
 
-/// Runs one shard of the population through the chosen engine and returns
-/// its sketch. Pure in `(spec, shard, shards)`: any worker, any attempt,
-/// any resume produces the same bytes — which is what lets shards be
-/// resilient-executor cells.
+/// Runs one shard of the population and returns its sketch. Pure in
+/// `(spec, shard, shards)`: any worker, any attempt, any resume produces
+/// the same bytes — which is what lets shards be resilient-executor cells.
+///
+/// Each device regenerates (or decodes) into one pooled trace, runs through
+/// the worker's one `arena` with a fresh D-VSync pacer, and is folded into
+/// the sketch.
 ///
 /// With a `trace_dir` of per-device binary recordings
 /// ([`fleet_trace_path`]), devices decode their recorded traces instead of
@@ -224,84 +216,25 @@ pub fn run_fleet_shard(
     spec: &FleetSpec,
     shard: usize,
     shards: usize,
-    engine: FleetEngine,
     arena: &mut RunArena,
     trace_dir: Option<&Path>,
 ) -> FleetSketch {
     let mut sketch = FleetSketch::new();
-    let range = spec.shard_range(shard, shards);
-    match engine {
-        FleetEngine::PerDevice => {
-            // One trace pooled across the shard's devices.
-            let mut trace = FrameTrace::new(String::new(), 0);
-            for i in range {
-                let Some(dev) = spec.device(i) else { continue };
-                let cfg = fleet_config(dev.rate_hz, dev.buffers);
-                load_device_trace(&dev, i, spec.frames, trace_dir, &mut trace);
-                let plan = fleet_plan(spec, &dev);
-                let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
-                let mut totals = RunTotals::default();
-                Simulator::new(&cfg)
-                    .with_faults(plan.as_ref())
-                    .try_tally_into(&trace, &mut pacer, arena, &mut totals)
-                    .expect("generated fleet traces always validate");
-                observe_device(&mut sketch, &totals);
-            }
-        }
-        FleetEngine::Batched => {
-            // Bucket devices by their homogeneity key and flush each bucket
-            // through the batch kernel at BATCH_WIDTH. The lane pool is
-            // shared across buckets so arenas stay warm for the whole shard.
-            let mut lanes: Vec<BatchLane<DvsyncPacer>> = Vec::new();
-            let mut buckets: BTreeMap<(u32, usize), Vec<(u64, DeviceRun)>> = BTreeMap::new();
-            for i in range {
-                let Some(dev) = spec.device(i) else { continue };
-                let bucket = buckets.entry((dev.rate_hz, dev.buffers)).or_default();
-                bucket.push((i, dev));
-                if bucket.len() == BATCH_WIDTH {
-                    let full = std::mem::take(bucket);
-                    flush_bucket(spec, &full, &mut lanes, &mut sketch, trace_dir);
-                }
-            }
-            for bucket in buckets.values() {
-                if !bucket.is_empty() {
-                    flush_bucket(spec, bucket, &mut lanes, &mut sketch, trace_dir);
-                }
-            }
-        }
+    let mut trace = FrameTrace::new(String::new(), 0);
+    for i in spec.shard_range(shard, shards) {
+        let Some(dev) = spec.device(i) else { continue };
+        load_device_trace(&dev, spec.frames, trace_dir, &mut trace);
+        let cfg = PipelineConfig::new(dev.rate_hz, dev.buffers);
+        let plan = fleet_plan(spec, &dev);
+        let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
+        let mut totals = RunTotals::default();
+        Simulator::new(&cfg)
+            .with_faults(plan.as_ref())
+            .try_tally_into(&trace, &mut pacer, arena, &mut totals)
+            .expect("generated fleet traces always validate");
+        observe_device(&mut sketch, &totals);
     }
     sketch
-}
-
-/// Runs one homogeneous bucket through the batch kernel, reusing the lane
-/// pool's warm arenas, and folds each lane's totals into the sketch.
-fn flush_bucket(
-    spec: &FleetSpec,
-    bucket: &[(u64, DeviceRun)],
-    lanes: &mut Vec<BatchLane<DvsyncPacer>>,
-    sketch: &mut FleetSketch,
-    trace_dir: Option<&Path>,
-) {
-    let Some((_, first)) = bucket.first() else { return };
-    let cfg = fleet_config(first.rate_hz, first.buffers);
-    for (j, (index, dev)) in bucket.iter().enumerate() {
-        let plan = fleet_plan(spec, dev);
-        let pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(dev.buffers));
-        if let Some(lane) = lanes.get_mut(j) {
-            // A warm lane regenerates into its own trace.
-            load_device_trace(dev, *index, spec.frames, trace_dir, &mut lane.trace);
-            lane.plan = plan;
-            lane.pacer = pacer;
-        } else {
-            let mut trace = FrameTrace::new(String::new(), 0);
-            load_device_trace(dev, *index, spec.frames, trace_dir, &mut trace);
-            lanes.push(BatchLane::new(trace, plan, pacer));
-        }
-    }
-    tally_batch(&cfg, &mut lanes[..bucket.len()]).expect("generated fleet traces always validate");
-    for lane in lanes[..bucket.len()].iter() {
-        observe_device(sketch, &lane.totals);
-    }
 }
 
 /// The fingerprint binding a checkpoint to one fleet identity: the full
@@ -356,8 +289,7 @@ pub fn run_fleet_resilient_with(
         .collect();
     let fingerprint = fleet_fingerprint(spec, n, engine, cfg);
     let (start_slots, resumed) = restore_progress(cfg, fingerprint, n)?;
-    let work =
-        |arena: &mut RunArena, i: usize| run_fleet_shard(spec, i, n, engine, arena, trace_dir);
+    let work = |arena: &mut RunArena, i: usize| run_fleet_shard(spec, i, n, arena, trace_dir);
     let (slots, checkpoint_writes) =
         execute_cells(n, jobs.max(1), &keys, fingerprint, cfg, start_slots, resumed, &work)?;
 
@@ -404,7 +336,7 @@ mod tests {
         assert_eq!(
             batched.report.to_json().unwrap(),
             solo.report.to_json().unwrap(),
-            "batch kernel diverged from the per-device oracle"
+            "the engine names' reports diverged"
         );
         assert_eq!(batched.report.sketch.devices, 48);
     }

@@ -1,12 +1,13 @@
-//! Fleet throughput benchmark: the SoA batch kernel vs the per-device
-//! oracle, floor-gated at one million simulated devices per minute.
+//! Fleet throughput benchmark: the fleet runner under both engine names,
+//! floor-gated at one million simulated devices per minute. Both names now
+//! run the same shard loop, so the two arms time the same code.
 //!
 //! Both arms run the *same* seeded population through
 //! [`run_fleet_resilient`] — sampling, trace generation, simulation, and
 //! sketch reduction all inside the timed window, so `devices_per_min` is an
-//! honest end-to-end figure, not a kernel-only one. The arms' reports are
-//! asserted byte-identical in-run: a throughput number from a diverging
-//! kernel is worthless.
+//! honest end-to-end figure, not a simulation-only one. The arms' reports
+//! are asserted byte-identical in-run: a throughput number from a diverging
+//! run is worthless.
 //!
 //! The committed baseline lives in `BENCH_fleet.json`; `repro fleet --check`
 //! gates fresh runs against it. The [`DEVICES_PER_MIN_FLOOR`] gate is
@@ -59,9 +60,9 @@ pub struct FleetBench {
     pub shards: usize,
     /// Worker threads used.
     pub jobs: usize,
-    /// The production arm: the SoA batch kernel.
+    /// The production arm, `--engine batched`.
     pub batched: FleetThroughput,
-    /// The oracle arm: one `Simulator` run per device.
+    /// The same loop under `--engine per-device`.
     pub per_device: FleetThroughput,
     /// `batched.devices_per_min / per_device.devices_per_min`.
     pub batch_speedup: f64,
@@ -110,15 +111,15 @@ fn run_arm(
 ///
 /// # Panics
 ///
-/// Panics if the batched report is not byte-identical to the per-device
-/// report — a correctness failure, not a performance one.
+/// Panics if the two arms' reports are not byte-identical — a correctness
+/// failure, not a performance one.
 pub fn run_population(spec: &FleetSpec, shards: usize, jobs: usize, quick: bool) -> FleetBench {
     let (batched_out, batched) = run_arm(spec, shards, jobs, FleetEngine::Batched);
     let (solo_out, per_device) = run_arm(spec, shards, jobs, FleetEngine::PerDevice);
     assert_eq!(
         batched_out.report.to_json().expect("fleet reports serialize"),
         solo_out.report.to_json().expect("fleet reports serialize"),
-        "batched report diverged from the per-device oracle"
+        "the engine names' reports diverged"
     );
     let batch_speedup = batched.devices_per_min / per_device.devices_per_min.max(1e-9);
     FleetBench {
@@ -147,7 +148,7 @@ pub fn run(quick: bool) -> FleetBench {
 
 /// Renders the comparison as an aligned text table.
 pub fn render(b: &FleetBench) -> String {
-    let mut out = String::from("Fleet throughput (SoA batch kernel vs per-device oracle)\n");
+    let mut out = String::from("Fleet throughput (the shard loop under both engine names)\n");
     out.push_str(&format!(
         "population: '{}' — {} devices × {} frames, {} shards, {} jobs\n",
         b.population, b.devices, b.frames, b.shards, b.jobs
@@ -181,8 +182,8 @@ pub const DEVICES_PER_MIN_FLOOR: f64 = 1_000_000.0;
 /// it applies whether the run was quick or full. Baseline-relative gates
 /// (batched devices/min and batch speedup, 20 % tolerance) apply only when
 /// both runs used the same workload mode; the batch speedup itself is
-/// reported but not floor-gated — both arms share the event core, so the
-/// ratio is a dispatch-overhead figure, not a correctness one.
+/// reported but not floor-gated — both arms are the same loop, so the
+/// ratio measures only run-to-run noise.
 pub fn check(current: &FleetBench, baseline: &FleetBench) -> Result<String, String> {
     let mut notes = String::new();
     if current.batched.devices_per_min < DEVICES_PER_MIN_FLOOR {
@@ -198,7 +199,7 @@ pub fn check(current: &FleetBench, baseline: &FleetBench) -> Result<String, Stri
     ));
     if current.batch_speedup < 1.0 {
         notes.push_str(&format!(
-            "note: batch kernel is not ahead of the per-device oracle ({:.2}x)\n",
+            "note: the batched arm is not ahead of the per-device arm ({:.2}x)\n",
             current.batch_speedup
         ));
     } else {

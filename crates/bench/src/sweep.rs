@@ -515,25 +515,37 @@ impl CellMetrics {
     }
 }
 
-/// Executes one cell: folds its segments, each from a fresh pipeline and
-/// pacer of the cell's kind, through the worker's arena into one
-/// [`RunTotals`] (as [`run_segmented`](dvs_pipeline::run_segmented) merges
-/// them, bit for bit) and returns the row's two scalars.
+/// Executes one cell: folds its segments through the worker's arena
+/// ([`tally_segments`]) and returns the row's two scalars.
 pub(crate) fn run_cell(
     cell: &SweepCell,
     segments: &[FrameTrace],
     arena: &mut RunArena,
 ) -> CellMetrics {
-    let cfg = PipelineConfig::new(cell.rate_hz, cell.buffers);
+    CellMetrics::of(&tally_segments(segments, cell.rate_hz, cell.buffers, cell.pacer, arena))
+}
+
+/// Folds `segments`, each from a fresh pipeline and `pacer`, through `arena`
+/// into one [`RunTotals`]: bit for bit the totals of the report
+/// [`run_segmented`](dvs_pipeline::run_segmented) would merge from them.
+/// Panics if a segment is empty or disagrees with `rate_hz`.
+pub(crate) fn tally_segments(
+    segments: &[FrameTrace],
+    rate_hz: u32,
+    buffers: usize,
+    pacer: PacerKind,
+    arena: &mut RunArena,
+) -> RunTotals {
+    let cfg = PipelineConfig::new(rate_hz, buffers);
     let sim = Simulator::new(&cfg);
     let mut totals = RunTotals::default();
     for segment in segments {
-        let run = match cell.pacer {
+        let run = match pacer {
             PacerKind::Vsync => {
                 sim.try_tally_into(segment, &mut VsyncPacer::new(), arena, &mut totals)
             }
             PacerKind::Dvsync => {
-                let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(cell.buffers));
+                let mut pacer = DvsyncPacer::new(DvsyncConfig::with_buffers(buffers));
                 sim.try_tally_into(segment, &mut pacer, arena, &mut totals)
             }
         };
@@ -541,7 +553,7 @@ pub(crate) fn run_cell(
             panic!("{e}");
         }
     }
-    CellMetrics::of(&totals)
+    totals
 }
 
 /// Assembles suite rows in scenario order from index-stable metric slots,

@@ -1,13 +1,14 @@
-//! Allocations and heap bytes per device on the batched fleet path and per
-//! cell of a warm suite sweep, and the exact simulated work of a fixed
-//! sweep and a fixed fleet.
+//! Allocations and heap bytes per device on the fleet shard path, the
+//! shard's peak of live heap bytes, allocations and bytes per cell of a
+//! warm suite sweep, and the exact simulated work of a fixed sweep and a
+//! fixed fleet.
 //!
-//! A shard keeps a pool of warm lanes — arenas, traces and fault tables
-//! reused device after device — so what a device still allocates is what is
+//! A shard runs every device through its worker's one arena and one pooled
+//! trace, so what a device still allocates is what is
 //! built fresh for it. This test counts every heap allocation the shard
 //! makes on the calling thread with a thread-local counting allocator and
-//! pins the per-device averages. Lanes fold their runs into totals, so no
-//! lane grows a frame-record vector.
+//! pins the per-device averages. Devices fold their runs into totals, so
+//! no run grows a frame-record vector.
 //!
 //! What remains per device, and why it is not pooled:
 //!
@@ -20,9 +21,10 @@
 //! * the `BufferQueue`'s slot `Vec` and its FIFO `VecDeque`;
 //! * the D-VSync pacer's DTV deque.
 //!
-//! Bucket vectors and the cold first use of each lane add a fraction of an
-//! allocation per device. The batch kernel itself allocates nothing: it runs
-//! each lane to completion in that lane's own warm arena.
+//! The same counter tracks the thread's live heap bytes, so the test also
+//! pins the shard's peak: one arena, one trace and the sketch. A pool of 64
+//! batch-kernel lanes, each with its own arena and report, holds about 35
+//! times as much.
 //!
 //! A suite sweep cell runs through its worker's pooled `RunArena` and a
 //! calibration shared through the `GridCache`, so a warm call allocates
@@ -33,10 +35,11 @@
 //!
 //! The event counts are exact: `CoreStats::events_processed` summed over
 //! every cell of the seed-1 suite75 buffer ladder (the sweep benchmark's
-//! pass) and over a fixed fleet population on both engines, each counted
-//! once on the record path and once through the fold that sweep cells and
-//! fleet devices take. A change that only makes the simulator faster leaves
-//! them equal; one that alters the simulated work moves them.
+//! pass) and over a fixed fleet population, each counted once on the record
+//! path and once through the fold that sweep cells and fleet devices take,
+//! and the fleet also through the batch kernel's lanes. A change that only
+//! makes the simulator faster leaves them equal; one that alters the
+//! simulated work moves them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -44,15 +47,14 @@ use std::collections::BTreeMap;
 
 use dvs_bench::sweepbench::{bench_specs, DEFAULT_LADDER};
 use dvs_bench::{
-    run_fleet_shard, run_suite_resilient, FleetEngine, GridCache, ResilienceConfig, SweepMode,
-    BATCH_WIDTH,
+    run_fleet_shard, run_suite_resilient, GridCache, ResilienceConfig, SweepMode, BATCH_WIDTH,
 };
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_faults::named_profile;
 use dvs_metrics::{RunReport, RunTotals};
 use dvs_pipeline::{
-    calibrate_spec_pooled, run_batch, tally_batch, BatchLane, FramePacer, PipelineConfig, RunArena,
-    Simulator, VsyncPacer,
+    calibrate_spec_pooled, run_batch, BatchLane, FramePacer, PipelineConfig, RunArena, Simulator,
+    VsyncPacer,
 };
 use dvs_sim::stable_seed;
 use dvs_workload::{FleetSpec, FrameTrace};
@@ -60,15 +62,27 @@ use dvs_workload::{FleetSpec, FrameTrace};
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts allocation calls (a `realloc` counts as one) and the bytes they
-/// request on the current thread, delegating the memory itself to `System`.
+/// request on the current thread, and tracks the thread's live heap bytes
+/// and their peak, delegating the memory itself to `System`.
 struct CountingAlloc;
 
 fn count(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// Moves the thread's live byte count by `delta` (freeing memory another
+/// thread allocated can take it below zero, which only lowers the peak).
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method delegates to `System`, which upholds the
@@ -78,20 +92,24 @@ fn count(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        track(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        track(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -107,19 +125,37 @@ fn thread_bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+/// The thread's live heap bytes now; resets the peak to it.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+fn thread_peak() -> i64 {
+    PEAK.with(Cell::get)
+}
+
 /// The ceilings on allocations and heap bytes per device for one warm
-/// batched shard (about 6.5 and 1,150 B measured).
+/// shard (about 5.5 and 433 B measured).
 const MAX_ALLOCS_PER_DEVICE: f64 = 8.0;
-const MAX_BYTES_PER_DEVICE: f64 = 1_400.0;
+const MAX_BYTES_PER_DEVICE: f64 = 520.0;
+
+/// The ceiling on the shard's peak of live heap bytes, above what was live
+/// before it: about 22 KiB measured, against about 766 KiB for a pool of 64
+/// lanes, each with its own arena and report.
+const MAX_PEAK_BYTES: i64 = 28 * 1024;
 
 #[test]
 fn batched_shard_allocates_at_most_eight_times_per_device() {
     let devices = 2_400;
     let spec = FleetSpec::default_population("allocs", devices, 60);
+    let live_before = reset_peak();
     let mut arena = RunArena::new();
     let (allocs_before, bytes_before) = (thread_allocs(), thread_bytes());
-    let sketch = run_fleet_shard(&spec, 0, 1, FleetEngine::Batched, &mut arena, None);
+    let sketch = run_fleet_shard(&spec, 0, 1, &mut arena, None);
     let (allocs, bytes) = (thread_allocs() - allocs_before, thread_bytes() - bytes_before);
+    let peak = thread_peak() - live_before;
     assert_eq!(sketch.devices, devices, "every device was measured");
     let per_device = allocs as f64 / devices as f64;
     assert!(
@@ -132,6 +168,10 @@ fn batched_shard_allocates_at_most_eight_times_per_device() {
         bytes_per_device <= MAX_BYTES_PER_DEVICE,
         "{bytes} bytes over {devices} devices = {bytes_per_device:.0} B per device \
          (ceiling {MAX_BYTES_PER_DEVICE} B)"
+    );
+    assert!(
+        peak <= MAX_PEAK_BYTES,
+        "the shard's live heap peaked {peak} bytes above its start (ceiling {MAX_PEAK_BYTES} B)"
     );
 }
 
@@ -211,31 +251,26 @@ fn suite75_ladder_dispatches_an_exact_event_count() {
 }
 
 /// Events dispatched over the 2,400 devices of the allocation test's
-/// population, on either fleet engine.
+/// population, run alone, folded as a shard folds them, or in the lanes of
+/// the batch kernel.
 const FLEET_EVENTS: u64 = 440_052;
 
 #[test]
-fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
+fn fleet_population_dispatches_an_exact_event_count_on_every_path() {
     let spec = FleetSpec::default_population("allocs", 2_400, 60);
     let mut arena = RunArena::new();
     let mut out = RunReport::default();
     let mut trace = FrameTrace::new(String::new(), 0);
     let mut per_device = 0;
-    // The batched engine's buckets: devices of one (rate, buffers) cell,
-    // flushed through the batch kernel at `BATCH_WIDTH` lanes.
+    // The batch kernel's buckets: devices of one (rate, buffers) cell,
+    // flushed at `BATCH_WIDTH` lanes, as the benchmark's traced copy runs
+    // them.
     let mut buckets: BTreeMap<(u32, usize), Vec<BatchLane<DvsyncPacer>>> = BTreeMap::new();
-    let (mut batched, mut batch_folded, mut per_device_folded) = (0, 0, 0);
+    let (mut batched, mut folded) = (0, 0);
     let mut flush = |(rate_hz, buffers): (u32, usize), lanes: &mut Vec<BatchLane<DvsyncPacer>>| {
         let cfg = PipelineConfig::new(rate_hz, buffers);
         let stats = run_batch(&cfg, lanes);
         batched += stats.expect("generated fleet traces validate").events_processed;
-        // Fresh pacers: a lane's pacer state belongs to one run.
-        for lane in lanes.iter_mut() {
-            let (trace, plan) = (lane.trace.clone(), lane.plan.take());
-            lane.reload(trace, plan, DvsyncPacer::new(DvsyncConfig::with_buffers(buffers)));
-        }
-        let stats = tally_batch(&cfg, lanes);
-        batch_folded += stats.expect("generated fleet traces validate").events_processed;
         lanes.clear();
     };
     for i in 0..spec.devices {
@@ -261,7 +296,7 @@ fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
             &mut arena,
             &mut RunTotals::default(),
         );
-        per_device_folded += stats.expect("generated fleet traces validate").events_processed;
+        folded += stats.expect("generated fleet traces validate").events_processed;
         let key = (dev.rate_hz, dev.buffers);
         let lanes = buckets.entry(key).or_default();
         lanes.push(BatchLane::new(trace.clone(), plan, pacer()));
@@ -272,8 +307,7 @@ fn fleet_population_dispatches_an_exact_event_count_on_both_engines() {
     for (&key, lanes) in &mut buckets {
         flush(key, lanes);
     }
-    assert_eq!(per_device, FLEET_EVENTS, "the per-device engine's simulated work changed");
-    assert_eq!(batched, FLEET_EVENTS, "the batched engine's simulated work changed");
-    assert_eq!(per_device_folded, FLEET_EVENTS, "the per-device fold's simulated work changed");
-    assert_eq!(batch_folded, FLEET_EVENTS, "the batched fold's simulated work changed");
+    assert_eq!(per_device, FLEET_EVENTS, "the recorded runs' simulated work changed");
+    assert_eq!(folded, FLEET_EVENTS, "the shard fold's simulated work changed");
+    assert_eq!(batched, FLEET_EVENTS, "the batch kernel's simulated work changed");
 }

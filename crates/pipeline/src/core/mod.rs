@@ -23,7 +23,7 @@
 //! * [`event_heap`] — the production core. Events sit in a pre-sized
 //!   sorted run queue ([`dvs_sim::EventQueue`]) and the loop jumps
 //!   straight from one event to the next; the steady state allocates
-//!   nothing. The fleet's [`batch`] entry point runs each lane through it.
+//!   nothing. The [`batch`] lane entry point runs each lane through it.
 //!
 //! Both engines must produce **byte-identical** [`RunReport`]s; the
 //! repo-level differential suites (`tests/differential.rs`,
