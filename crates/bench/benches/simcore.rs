@@ -2,20 +2,26 @@
 //! engine against the reference tick-stepper, on a representative slice of
 //! the suite75 workload.
 //!
-//! The full comparison with machine-readable output lives in
-//! `repro bench --emit-json` (see `dvs_bench::simcore`); this criterion
-//! harness covers the same hot path for `cargo bench` workflows.
+//! `crates/bench/tests/fleet_allocs.rs` pins the exact events and polls of
+//! this slice on both engines, and `crates/bench/tests/speed_floors.rs`
+//! holds the event heap at 5× the tick-stepper on it in release builds;
+//! this criterion harness times the same hot path for `cargo bench`
+//! workflows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use dvs_bench::simcore::bench_traces;
 use dvs_metrics::RunReport;
 use dvs_pipeline::{PipelineConfig, RunArena, SimCore, Simulator, VsyncPacer};
+use dvs_workload::FrameTrace;
+
+/// Every fifth suite75 case: a 15-case slice that keeps one criterion
+/// iteration affordable for the tick-stepper too.
+fn quick_slice() -> Vec<FrameTrace> {
+    dvs_bench::suite75::bench_suite().iter().step_by(5).map(|spec| spec.generate()).collect()
+}
 
 fn bench_simcore(c: &mut Criterion) {
-    // The quick slice (every fifth suite75 case) keeps one criterion
-    // iteration affordable for the tick-stepper too.
-    let traces = bench_traces(true);
+    let traces = quick_slice();
     let frames: u64 = traces.iter().map(|t| t.len() as u64).sum();
 
     let mut group = c.benchmark_group("simcore");

@@ -14,7 +14,8 @@
 //! parallelism; `--jobs 1` forces the sequential reference path). Output is
 //! byte-identical for every job count — see `docs/sweep.md`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#![forbid(unsafe_code)]
+
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -23,35 +24,6 @@ use dvs_bench::checkpoint::{read_text, write_text};
 use dvs_bench::*;
 use dvs_sim::{DvsError, DvsResult};
 use dvs_workload::FleetSpec;
-
-/// Counts every heap allocation into [`dvs_bench::alloc_track`], so the
-/// fleet benchmark can report the heap bytes and allocation calls of each
-/// arm. The library crates forbid `unsafe`, so the allocator wrapper lives
-/// here in the binary; under plain `cargo test` the counters simply stay
-/// at zero.
-struct CountingAlloc;
-
-// SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counter updates are relaxed atomics that never touch the
-// returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        alloc_track::record_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        alloc_track::record_alloc(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 struct Job {
     key: &'static str,
@@ -326,14 +298,6 @@ fn usage(jobs: &[Job]) -> String {
         "repro — regenerate the D-VSync paper's tables and figures\n\n\
          usage: repro --all | [--fig N]... [--table N]... [--cost] [--power] [--chromium]\n\
          \x20      repro custom <scenario.json>   # run a ScenarioSpec under all configs\n\
-         \x20      repro bench [--quick] [--emit-json [path]] [--check <baseline.json>]\n\
-         \x20                 # simulator-core throughput: event heap vs tick-stepper\n\
-         \x20                 # (--emit-json defaults to BENCH_simcore.json; --check\n\
-         \x20                 #  fails on >20% regression vs the committed baseline)\n\
-         \x20      repro bench trace [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # trace-codec benchmark: binary container vs JSON, floor-\n\
-         \x20                 # gated at 5x smaller and 5x faster to decode\n\
-         \x20                 # (--emit-json defaults to BENCH_trace.json)\n\
          \x20      repro trace record --out <dir> [--tiny|--quick] [--fitted]\n\
          \x20                 [--fleet [--devices N] [--frames N]]\n\
          \x20                 # record the benchmark corpora as compact binary traces\n\
@@ -361,20 +325,14 @@ fn usage(jobs: &[Job]) -> String {
          \x20                 # multi-surface compositor suite under the same executor\n\
          \x20                 # (same --checkpoint and --inject-* flags as repro sweep)\n\
          \x20      repro fleet [--tiny|--quick] [--devices N] [--frames N] [--shards N]\n\
-         \x20                 [--engine batched|per-device] [--jobs N] [--retries N]\n\
+         \x20                 [--jobs N] [--retries N]\n\
          \x20                 [--checkpoint <path> [--cadence K] [--resume]]\n\
          \x20                 [--emit-json [path]] [--trace-dir <dir>]\n\
          \x20                 # population-scale fleet simulation: shards of the seeded\n\
          \x20                 # device space run as resilient-executor cells and reduce\n\
          \x20                 # to mergeable sketches; the report is byte-identical for\n\
-         \x20                 # any --jobs/--shards/--engine (docs/fleet.md). Both\n\
-         \x20                 # engine names (batched, the default, and per-device)\n\
-         \x20                 # run the same shard loop. Same\n\
-         \x20                 # --inject-* fault taps as repro sweep\n\
-         \x20      repro fleet --bench [--quick] [--emit-json [path]] [--check <baseline>]\n\
-         \x20                 # fleet throughput under both engine names,\n\
-         \x20                 # floor-gated at 1M simulated devices/minute (--check\n\
-         \x20                 # implies --bench; --emit-json defaults to BENCH_fleet.json)\n\
+         \x20                 # any --jobs/--shards (docs/fleet.md). Same --inject-*\n\
+         \x20                 # fault taps as repro sweep\n\
          \x20      --jobs N   sweep worker count (default: available parallelism;\n\
          \x20                 1 = sequential reference path; output identical for all N)\n\n\
          exit codes: 0 clean; 1 hard error; 2 completed with quarantined cells\n\n\
@@ -384,69 +342,6 @@ fn usage(jobs: &[Job]) -> String {
         out.push_str(&format!("  {:<8} {}\n", j.key, j.describe));
     }
     out
-}
-
-/// Runs a throughput benchmark: `repro bench` (simulator core) or
-/// `repro bench trace` (trace codec). Flags: `--quick` for the CI smoke
-/// slice, `--emit-json [path]` to write the machine-readable result,
-/// `--check <baseline.json>` to gate against a committed baseline.
-fn run_bench(args: &[String]) -> DvsResult<String> {
-    let trace_bench = args.iter().any(|a| a == "trace");
-    let quick = args.iter().any(|a| a == "--quick");
-    // `--emit-json` takes an optional path operand; a following flag means
-    // "use the default name".
-    let default_json = if trace_bench { "BENCH_trace.json" } else { "BENCH_simcore.json" };
-    let emit: Option<String> =
-        args.iter().position(|a| a == "--emit-json").map(|p| match args.get(p + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => default_json.to_string(),
-        });
-    let check_path: Option<&String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|p| args.get(p + 1))
-        .filter(|a| !a.starts_with('-'));
-
-    let parse_err =
-        |path: &str, e: serde_json::Error| DvsError::InvalidConfig(format!("parse {path}: {e}"));
-    let gate_err = |msg: String| DvsError::InvalidConfig(msg);
-    let (mut out, result_json, check_notes) = if trace_bench {
-        let result = dvs_bench::tracebench::run(quick);
-        let notes = match check_path {
-            Some(path) => {
-                let json = read_text(Path::new(path))?;
-                let baseline: dvs_bench::tracebench::TraceBench =
-                    serde_json::from_str(&json).map_err(|e| parse_err(path, e))?;
-                Some(dvs_bench::tracebench::check(&result, &baseline).map_err(gate_err)?)
-            }
-            None => None,
-        };
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        (dvs_bench::tracebench::render(&result), json, notes)
-    } else {
-        let result = dvs_bench::simcore::run(quick);
-        let notes = match check_path {
-            Some(path) => {
-                let json = read_text(Path::new(path))?;
-                let baseline: dvs_bench::simcore::SimcoreBench =
-                    serde_json::from_str(&json).map_err(|e| parse_err(path, e))?;
-                Some(dvs_bench::simcore::check(&result, &baseline).map_err(gate_err)?)
-            }
-            None => None,
-        };
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        (dvs_bench::simcore::render(&result), json, notes)
-    };
-    if let Some(path) = emit {
-        write_text(Path::new(&path), &(result_json + "\n"))?;
-        out.push_str(&format!("wrote {path}\n"));
-    }
-    if let Some(notes) = check_notes {
-        out.push_str(&notes);
-    }
-    Ok(out)
 }
 
 /// Runs the `dvs-lint` static pass over the workspace: `repro lint
@@ -510,15 +405,8 @@ const FLEET_FLAGS: &[Flag] = &[
     ("--devices", true),
     ("--frames", true),
     ("--shards", true),
-    ("--engine", true),
     ("--trace-dir", true),
-    ("--bench", false),
-    ("--check", true),
 ];
-
-/// The flags `repro bench` accepts; `trace` selects the trace-codec bench.
-const BENCH_FLAGS: &[Flag] =
-    &[("trace", false), ("--quick", false), ("--emit-json", true), ("--check", true)];
 
 /// The flags `repro lint` accepts.
 const LINT_FLAGS: &[Flag] = &[("--check", false), ("--emit-json", true)];
@@ -530,7 +418,6 @@ fn subcommand_flags(sub: &str) -> Option<&'static [&'static [Flag]]> {
         "sweep" => &[RESILIENCE_FLAGS, SWEEP_FLAGS],
         "compose" => &[RESILIENCE_FLAGS],
         "fleet" => &[RESILIENCE_FLAGS, FLEET_FLAGS],
-        "bench" => &[BENCH_FLAGS],
         "lint" => &[LINT_FLAGS],
         _ => return None,
     })
@@ -713,22 +600,14 @@ fn run_compose(args: &[String]) -> DvsResult<(String, bool)> {
 }
 
 /// Runs `repro fleet`: a seeded device population through the resilient
-/// executor (shards as cells), reduced to mergeable sketches. With
-/// `--bench` (or `--check`, which implies it) runs the throughput
-/// comparison instead and gates against a committed baseline.
+/// executor (shards as cells), reduced to mergeable sketches.
 fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
-    if has_flag(args, "--bench") || has_flag(args, "--check") {
-        return run_fleet_bench(args).map(|text| (text, false));
-    }
     apply_jobs_flag(args)?;
     let cfg = parse_resilience(args)?;
     let tiny = has_flag(args, "--tiny");
     let quick = has_flag(args, "--quick");
-    let frames: usize = flag_num(args, "--frames")?.unwrap_or(if tiny {
-        24
-    } else {
-        fleetbench::FRAMES_PER_DEVICE
-    });
+    let frames: usize =
+        flag_num(args, "--frames")?.unwrap_or(if tiny { 24 } else { FRAMES_PER_DEVICE });
     let devices: u64 = flag_num(args, "--devices")?.unwrap_or(if tiny {
         96
     } else if quick {
@@ -741,18 +620,10 @@ fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
     } else {
         FleetSpec::default_population("cli", devices, frames)
     };
-    let engine = match flag_value(args, "--engine").map(String::as_str) {
-        Some("per-device") => FleetEngine::PerDevice,
-        Some("batched") | None => FleetEngine::Batched,
-        Some(other) => {
-            return Err(DvsError::InvalidConfig(format!(
-                "--engine must be batched or per-device, got {other:?}"
-            )))
-        }
-    };
     let jobs = sweep::default_jobs();
     let shards: usize = flag_num(args, "--shards")?.unwrap_or_else(|| (jobs * 8).max(16));
     let trace_dir = flag_value(args, "--trace-dir").map(PathBuf::from);
+    let engine = FleetEngine::Batched;
     let out = run_fleet_resilient_with(&spec, shards, jobs, engine, &cfg, trace_dir.as_deref())?;
     let mut text = out.render();
     if let Some(pos) = args.iter().position(|a| a == "--emit-json") {
@@ -761,48 +632,12 @@ fn run_fleet(args: &[String]) -> DvsResult<(String, bool)> {
             _ => "fleet_report.json".to_string(),
         };
         // The emitted artifact is the byte-identity surface: identical for
-        // interrupted+resumed and uninterrupted runs at any --jobs value,
-        // any shard count, and either engine.
+        // interrupted+resumed and uninterrupted runs at any --jobs value
+        // and any shard count.
         write_text(Path::new(&path), &(out.report.to_json()? + "\n"))?;
         text.push_str(&format!("wrote {path}\n"));
     }
     Ok((text, out.degraded()))
-}
-
-/// The `repro fleet --bench` arm: mirrors `repro bench` flag handling.
-fn run_fleet_bench(args: &[String]) -> DvsResult<String> {
-    let quick = has_flag(args, "--quick");
-    let emit: Option<String> =
-        args.iter().position(|a| a == "--emit-json").map(|p| match args.get(p + 1) {
-            Some(next) if !next.starts_with('-') => next.clone(),
-            _ => "BENCH_fleet.json".to_string(),
-        });
-    let check_path: Option<&String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|p| args.get(p + 1))
-        .filter(|a| !a.starts_with('-'));
-    let result = fleetbench::run(quick);
-    let notes = match check_path {
-        Some(path) => {
-            let json = read_text(Path::new(path))?;
-            let baseline: FleetBench = serde_json::from_str(&json)
-                .map_err(|e| DvsError::InvalidConfig(format!("parse {path}: {e}")))?;
-            Some(fleetbench::check(&result, &baseline).map_err(DvsError::InvalidConfig)?)
-        }
-        None => None,
-    };
-    let mut out = fleetbench::render(&result);
-    if let Some(path) = emit {
-        let json = serde_json::to_string_pretty(&result)
-            .map_err(|e| DvsError::InvalidConfig(e.to_string()))?;
-        write_text(Path::new(&path), &(json + "\n"))?;
-        out.push_str(&format!("wrote {path}\n"));
-    }
-    if let Some(notes) = notes {
-        out.push_str(&notes);
-    }
-    Ok(out)
 }
 
 /// Runs `repro trace record|info|convert`: the binary trace tooling
@@ -920,18 +755,6 @@ fn main() -> ExitCode {
         }
         match a.as_str() {
             "all" => all = true,
-            "bench" => {
-                return match run_bench(&args) {
-                    Ok(text) => {
-                        println!("{text}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        ExitCode::FAILURE
-                    }
-                };
-            }
             "sweep" => return exit_tristate(run_sweep(&args)),
             "compose" => return exit_tristate(run_compose(&args)),
             "fleet" => return exit_tristate(run_fleet(&args)),

@@ -16,9 +16,9 @@
 //! * sketch merging is byte-for-byte associative and commutative, so the
 //!   final report is invariant under `--jobs`, shard count, and shard
 //!   order;
-//! * both engine names run [`run_fleet_shard`]'s one loop, so they give
-//!   the same bytes; `tests/fleet_differential.rs` pins that loop to a
-//!   sketch built from fresh per-device [`Simulator`] runs.
+//! * [`run_fleet_shard`]'s one loop, a warm arena across a shard's
+//!   devices, gives the bytes of a sketch built from fresh per-device
+//!   [`Simulator`] runs, clean and faulted.
 
 use std::path::{Path, PathBuf};
 
@@ -39,17 +39,20 @@ use crate::resilient::{decode_slots, execute_cells, restore_progress, Resilience
 /// through its worker's one arena.
 pub const BATCH_WIDTH: usize = 64;
 
-/// The engine name a fleet run is bound to. Both names run the same loop,
-/// [`run_fleet_shard`], and give byte-identical reports; the name stays in
-/// the CLI and in the checkpoint fingerprint, so a checkpoint written under
-/// either still resumes.
+/// Frames simulated per device by default (`repro fleet --frames`): one
+/// second of simulated time at 60 Hz, long enough for the pacers to settle
+/// and janks to accumulate, short enough that a population is millions of
+/// devices, not millions of minutes.
+pub const FRAMES_PER_DEVICE: usize = 60;
+
+/// The engine name a fleet run is bound to. Every run takes
+/// [`run_fleet_shard`]'s one loop; the name stays in the checkpoint
+/// fingerprint, so checkpoints written before the loop changed still
+/// resume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetEngine {
-    /// The production default, and the name the repository benchmark runs.
+    /// The one engine name, and the one the repository benchmark runs.
     Batched,
-    /// The same loop as [`FleetEngine::Batched`], under the CLI's
-    /// `--engine per-device`.
-    PerDevice,
 }
 
 impl FleetEngine {
@@ -57,14 +60,13 @@ impl FleetEngine {
     pub fn name(self) -> &'static str {
         match self {
             FleetEngine::Batched => "batched",
-            FleetEngine::PerDevice => "per-device",
         }
     }
 }
 
 /// The identity-bearing part of a fleet run: the population description and
 /// its sketched distributions. Everything here is invariant under worker
-/// count, shard count, shard order, and engine — run-shaped telemetry
+/// count, shard count and shard order — run-shaped telemetry
 /// (accounting, checkpoint writes) lives in [`ResilientFleet`].
 ///
 /// The quarantine list is empty on clean runs; when shards are quarantined
@@ -325,27 +327,18 @@ mod tests {
         FleetSpec::tiny(48, 24)
     }
 
-    fn clean_run(engine: FleetEngine, shards: usize, jobs: usize) -> ResilientFleet {
-        run_fleet_resilient(&tiny(), shards, jobs, engine, &ResilienceConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn engines_agree_byte_for_byte() {
-        let batched = clean_run(FleetEngine::Batched, 3, 1);
-        let solo = clean_run(FleetEngine::PerDevice, 3, 1);
-        assert_eq!(
-            batched.report.to_json().unwrap(),
-            solo.report.to_json().unwrap(),
-            "the engine names' reports diverged"
-        );
-        assert_eq!(batched.report.sketch.devices, 48);
+    fn clean_run(shards: usize, jobs: usize) -> ResilientFleet {
+        let cfg = ResilienceConfig::default();
+        run_fleet_resilient(&tiny(), shards, jobs, FleetEngine::Batched, &cfg).unwrap()
     }
 
     #[test]
     fn report_is_invariant_under_jobs_and_shards() {
-        let base = clean_run(FleetEngine::Batched, 1, 1).report.to_json().unwrap();
+        let base = clean_run(1, 1).report;
+        assert_eq!(base.sketch.devices, 48);
+        let base = base.to_json().unwrap();
         for (shards, jobs) in [(2, 1), (5, 4), (48, 2), (7, 3)] {
-            let got = clean_run(FleetEngine::Batched, shards, jobs).report.to_json().unwrap();
+            let got = clean_run(shards, jobs).report.to_json().unwrap();
             assert_eq!(got, base, "report changed under shards={shards} jobs={jobs}");
         }
     }
@@ -378,7 +371,7 @@ mod tests {
             let dev = spec.device(i).unwrap();
             dev.trace().save_binary(fleet_trace_path(&dir, i)).unwrap();
         }
-        let base = clean_run(FleetEngine::Batched, 3, 1).report.to_json().unwrap();
+        let base = clean_run(3, 1).report.to_json().unwrap();
         let cfg = ResilienceConfig::default();
         let loaded =
             run_fleet_resilient_with(&spec, 3, 1, FleetEngine::Batched, &cfg, Some(dir.as_path()))
@@ -389,7 +382,7 @@ mod tests {
 
     #[test]
     fn render_mentions_population_and_metrics() {
-        let out = clean_run(FleetEngine::Batched, 2, 1);
+        let out = clean_run(2, 1);
         let text = out.render();
         assert!(text.contains("fleet 'tiny'"));
         assert!(text.contains("fdps"));

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod alloc_track;
 pub mod checkpoint;
 pub mod compose;
 pub mod costs;
@@ -29,28 +28,24 @@ pub mod fig14_games;
 pub mod fig15_latency;
 pub mod fig16_map;
 pub mod fleet;
-pub mod fleetbench;
 pub mod fps_report;
 pub mod golden;
 pub mod power;
 pub mod resilient;
 pub mod sec66_chromium;
-pub mod simcore;
 pub mod suite;
 pub mod suite75;
 pub mod sweep;
 pub mod sweepbench;
 pub mod table1_devices;
 pub mod table2_stutters;
-pub mod tracebench;
 pub mod tracetool;
 
 pub use checkpoint::{CellSlot, Checkpoint, QuarantinedSlot, CHECKPOINT_VERSION};
 pub use fleet::{
     fleet_fingerprint, fleet_trace_path, run_fleet_resilient, run_fleet_resilient_with,
-    run_fleet_shard, FleetEngine, FleetReport, ResilientFleet, BATCH_WIDTH,
+    run_fleet_shard, FleetEngine, FleetReport, ResilientFleet, BATCH_WIDTH, FRAMES_PER_DEVICE,
 };
-pub use fleetbench::{FleetBench, FleetThroughput, DEVICES_PER_MIN_FLOOR, FRAMES_PER_DEVICE};
 pub use resilient::{
     grid_fingerprint, run_compose_resilient, run_suite_resilient, tiny_suite, CheckpointConfig,
     ComposeReport, ExecFaults, ResilienceConfig, ResilientCompose, ResilientSweep, RetryPolicy,

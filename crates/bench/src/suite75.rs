@@ -74,8 +74,8 @@ fn census(platform: &str, dropping: &[ScenarioSpec], rate_hz: u32, backend: Back
 
 /// The full 75-case OS suite in its heaviest configuration (Mate 60 Pro,
 /// 120 Hz, Vulkan): the dropping cases keep their calibration targets, the
-/// rest run smooth. This is the workload the simcore throughput benchmark
-/// ([`crate::simcore`]) drives both execution engines through.
+/// rest run smooth. The trace-codec and simulator-core checks in
+/// `crates/bench/tests/` (exact counts, release speed floors) run on it.
 pub fn bench_suite() -> Vec<ScenarioSpec> {
     full_suite(&scenarios::mate60_vulkan_suite(), 120, Backend::Vulkan)
 }

@@ -4,7 +4,7 @@
 use dvs_workload::ScenarioSpec;
 
 /// The benchmark scenario set. Quick mode keeps every fifth scenario — the
-/// same 15-case slice of suite75 that the simulator-core smoke bench uses.
+/// same 15-case slice of suite75 that `cargo bench --bench simcore` times.
 pub fn bench_specs(quick: bool) -> Vec<ScenarioSpec> {
     crate::suite75::bench_suite()
         .into_iter()

@@ -458,8 +458,8 @@ mod tests {
         convert(&json_path, &bin_path).unwrap();
         convert(&bin_path, &back_path).unwrap();
         assert_eq!(FrameTrace::load(&back_path).unwrap(), original);
-        // Tiny traces amortise the header poorly; the full-corpus ratio is
-        // what tracebench gates. Half is a safe floor even at 120 frames.
+        // Tiny traces amortise the header poorly; `fleet_allocs.rs` pins the
+        // full corpus's sizes. Half is a safe floor even at 120 frames.
         assert!(file_len(&bin_path).unwrap() < file_len(&json_path).unwrap() / 2);
         std::fs::remove_dir_all(&dir).ok();
     }

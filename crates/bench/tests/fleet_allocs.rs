@@ -1,7 +1,8 @@
 //! Allocations and heap bytes per device on the fleet shard path, the
 //! shard's peak of live heap bytes, allocations and bytes per cell of a
-//! warm suite sweep, and the exact simulated work of a fixed sweep and a
-//! fixed fleet.
+//! warm suite sweep, the exact simulated work of a fixed sweep and a fixed
+//! fleet, the exact work of both execution cores on a suite75 slice, and
+//! the exact size of the suite75 trace corpus in both formats.
 //!
 //! A shard runs every device through its worker's one arena and one pooled
 //! trace, so what a device still allocates is what is
@@ -40,6 +41,13 @@
 //! and the fleet also through the batch kernel's lanes. A change that only
 //! makes the simulator faster leaves them equal; one that alters the
 //! simulated work moves them.
+//!
+//! The suite75 slice (every fifth case, VSync at 3 buffers) pins what the
+//! event heap saves: the same events on both cores, and the polls only the
+//! reference tick-stepper makes. The corpus sizes are a pure function of
+//! the trace generator and both encoders, so they are exact too; the
+//! binary container's 5× size floor over JSON rides on them.
+//! `speed_floors.rs` times the same two workloads in release builds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,8 +61,8 @@ use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_faults::named_profile;
 use dvs_metrics::{RunReport, RunTotals};
 use dvs_pipeline::{
-    calibrate_spec_pooled, run_batch, BatchLane, FramePacer, PipelineConfig, RunArena, Simulator,
-    VsyncPacer,
+    calibrate_spec_pooled, run_batch, BatchLane, FramePacer, PipelineConfig, RunArena, SimCore,
+    Simulator, VsyncPacer,
 };
 use dvs_sim::stable_seed;
 use dvs_workload::{FleetSpec, FrameTrace};
@@ -310,4 +318,56 @@ fn fleet_population_dispatches_an_exact_event_count_on_every_path() {
     assert_eq!(per_device, FLEET_EVENTS, "the recorded runs' simulated work changed");
     assert_eq!(folded, FLEET_EVENTS, "the shard fold's simulated work changed");
     assert_eq!(batched, FLEET_EVENTS, "the batch kernel's simulated work changed");
+}
+
+/// Events dispatched over every fifth suite75 case at VSync with 3
+/// buffers, on either core.
+const SLICE_EVENTS: u64 = 25_577;
+
+/// Polling-clock steps the reference tick-stepper takes over the same
+/// slice; the event heap takes none.
+const SLICE_REFERENCE_POLLS: u64 = 12_963_916;
+
+#[test]
+fn suite75_slice_dispatches_exact_events_and_polls_on_both_cores() {
+    let traces: Vec<FrameTrace> = bench_specs(true).iter().map(|s| s.generate()).collect();
+    let mut arena = RunArena::new();
+    let mut out = RunReport::default();
+    for (core, polls) in [(SimCore::EventHeap, 0), (SimCore::Reference, SLICE_REFERENCE_POLLS)] {
+        let (mut got_events, mut got_polls) = (0, 0);
+        for trace in &traces {
+            let cfg = PipelineConfig::new(trace.rate_hz, 3);
+            let stats = Simulator::new(&cfg)
+                .with_core(core)
+                .try_run_into(trace, &mut VsyncPacer::new(), &mut arena, &mut out)
+                .expect("generated traces validate");
+            got_events += stats.events_processed;
+            got_polls += stats.polls;
+        }
+        assert_eq!(
+            (got_events, got_polls),
+            (SLICE_EVENTS, polls),
+            "{core:?}: the slice's events or polls changed"
+        );
+    }
+}
+
+/// The suite75 corpus: traces, frames, and its bytes as JSON and in the
+/// binary container (5.06× smaller).
+const CORPUS_TRACES: usize = 75;
+const CORPUS_FRAMES: usize = 33_960;
+const CORPUS_JSON_BYTES: usize = 945_941;
+const CORPUS_BINARY_BYTES: usize = 187_067;
+
+#[test]
+fn suite75_corpus_encodes_to_exact_sizes() {
+    let traces: Vec<FrameTrace> = bench_specs(false).iter().map(|s| s.generate()).collect();
+    let frames: usize = traces.iter().map(FrameTrace::len).sum();
+    let json: usize = traces.iter().map(|t| t.to_json().expect("traces serialize").len()).sum();
+    let binary: usize = traces.iter().map(|t| t.to_binary().expect("traces encode").len()).sum();
+    assert_eq!(
+        (traces.len(), frames, json, binary),
+        (CORPUS_TRACES, CORPUS_FRAMES, CORPUS_JSON_BYTES, CORPUS_BINARY_BYTES),
+        "the corpus or an encoder changed"
+    );
 }

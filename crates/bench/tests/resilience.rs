@@ -226,24 +226,31 @@ fn exit_code_two_on_quarantined_cells() {
     assert!(stdout.contains("5/6 cells ok, 1 quarantined"), "stdout: {stdout}");
 }
 
-/// Exit code 1: hard errors — a bad flag value and an interrupted sweep.
+/// Exit code 1: hard errors — a bad flag value, an unknown argument or
+/// artefact, and an interrupted sweep.
 #[test]
 fn exit_code_one_on_hard_errors() {
     let out = repro(&["sweep", "--tiny", "--mode", "sideways"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--mode"));
 
-    // An unknown argument after the subcommand is named, never ignored.
+    // An unknown argument after the subcommand is named, never ignored;
+    // that includes the fleet's retired engine and bench flags.
     for (args, unknown) in [
         (&["compose", "--bogus"][..], "`--bogus`"),
         (&["fleet", "--tiny", "--bogus"][..], "`--bogus`"),
-        (&["bench", "sweep"][..], "`sweep`"),
+        (&["fleet", "--tiny", "--engine", "per-device"][..], "`--engine`"),
+        (&["fleet", "--tiny", "--bench"][..], "`--bench`"),
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(unknown), "{args:?}: {stderr}");
     }
+
+    // `bench` is no subcommand, and no artefact either.
+    let out = repro(&["bench"]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&out.stdout));
 
     let dir = temp_dir("exit1");
     let ck = dir.join("ck");

@@ -18,8 +18,9 @@
 //!   modules) slice indexing where `DvsError` paths exist
 //!   (`DVS-P001`/`DVS-P002`).
 //! * **Discarded results** — `let _ = fallible(…)` (`DVS-R001`).
-//! * **`unsafe`** — anywhere outside the bench allocator carve-out
-//!   (`DVS-U001`), mirroring the crates' `#![forbid(unsafe_code)]`.
+//! * **`unsafe`** — anywhere outside the manifest's `[unsafe_code]`
+//!   carve-outs, of which there are none (`DVS-U001`), mirroring the
+//!   crates' `#![forbid(unsafe_code)]`.
 //!
 //! On top of the per-file rules, a second phase analyzes the *workspace
 //! graph*: a lightweight item parser ([`parse`]) feeds a conservative call

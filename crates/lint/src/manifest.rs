@@ -3,8 +3,8 @@
 //! The manifest declares the *scopes* the rules apply to — which crates
 //! carry the determinism contract, which functions root the hot-path
 //! closure, where slice indexing is forbidden, which files form the
-//! panic-containment domain, which structs are schema-locked, and the
-//! single `unsafe` carve-out. Keeping scope in a reviewed file (rather
+//! panic-containment domain, which structs are schema-locked, and which
+//! files may contain `unsafe`. Keeping scope in a reviewed file (rather
 //! than hard-coded in the pass) means widening or narrowing a guarantee is
 //! a visible diff.
 //!
@@ -44,7 +44,8 @@ pub struct Manifest {
     pub schema_lock: String,
     /// Struct/enum names whose serialized shape the lock file pins.
     pub schema_structs: Vec<String>,
-    /// Files allowed to contain `unsafe` (the bench counting allocator).
+    /// Files allowed to contain `unsafe`; empty in this workspace, whose
+    /// crates and binary are all `#![forbid(unsafe_code)]`.
     pub unsafe_allowed: Vec<String>,
     /// 1-based `lint.toml` line of each `section.key`, for diagnostics
     /// that point back into the manifest.

@@ -456,8 +456,8 @@ fn unsafe_rule(src: &str, t: &Tok, out: &mut Vec<RawFinding>) {
             "unsafe-code",
             t,
             "unsafe",
-            "`unsafe` outside the bench allocator carve-out; workspace crates are `#![forbid(unsafe_code)]` \
-             and the lint manifest mirrors that statically",
+            "`unsafe` outside the manifest's `[unsafe_code] allowed` files; workspace crates are \
+             `#![forbid(unsafe_code)]` and the lint manifest mirrors that statically",
         ));
     }
 }

@@ -328,10 +328,10 @@ fn killed_sweeps_resume_byte_identically() {
 /// The same kill/resume chaos for the fleet layer: crash a fleet run at
 /// seeded-random shard boundaries, resume from the checkpoint, and require
 /// the sketch-reduced population report to be byte-identical to the
-/// uninterrupted run — across both engines, `--jobs {1,4}` on the resumed
-/// leg and checkpoint cadences 1, 2 and 3. Resumed shards are *not*
-/// re-simulated (their sketches come back from the checkpoint), so this
-/// also pins the sketch serialization round-trip.
+/// uninterrupted run — across `--jobs {1,4}` on the resumed leg and
+/// checkpoint cadences 1, 2 and 3. Resumed shards are *not* re-simulated
+/// (their sketches come back from the checkpoint), so this also pins the
+/// sketch serialization round-trip.
 #[test]
 fn killed_fleet_runs_resume_byte_identically() {
     use dvs_bench::{
@@ -341,67 +341,59 @@ fn killed_fleet_runs_resume_byte_identically() {
 
     let spec = FleetSpec::tiny(60, 12);
     let shards = 6;
+    let engine = FleetEngine::Batched;
     let dir = std::env::temp_dir().join("dvsync_chaos_fleet_resume");
     let _ = std::fs::create_dir_all(&dir);
     let mut rng = SimRng::seed_from(0xF1EE_7C4A);
 
-    for engine in [FleetEngine::Batched, FleetEngine::PerDevice] {
-        let clean = run_fleet_resilient(&spec, shards, 1, engine, &ResilienceConfig::default())
-            .expect("uninterrupted fleet run succeeds")
-            .report
-            .to_json()
-            .expect("fleet reports serialize");
+    let clean = run_fleet_resilient(&spec, shards, 1, engine, &ResilienceConfig::default())
+        .expect("uninterrupted fleet run succeeds")
+        .report
+        .to_json()
+        .expect("fleet reports serialize");
 
-        for trial in 0..4u64 {
-            // Kill after 1..=5 of the 6 shards so the resumed leg always has
-            // fresh work to do, and restored work at every cadence point
-            // the kill passed.
-            let crash_at = 1 + rng.next_below(5) as usize;
-            let jobs = [1usize, 4][rng.next_below(2) as usize];
-            for cadence in 1..=3 {
-                let path = dir.join(format!("ck_{engine:?}_{trial}_{cadence}"));
-                let _ = std::fs::remove_file(&path);
-                let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
-                    checkpoint: Some(CheckpointConfig {
-                        path: path.to_string_lossy().into_owned(),
-                        cadence,
-                        resume,
-                    }),
-                    faults,
-                    ..ResilienceConfig::default()
-                };
+    for trial in 0..4u64 {
+        // Kill after 1..=5 of the 6 shards so the resumed leg always has
+        // fresh work to do, and restored work at every cadence point the
+        // kill passed.
+        let crash_at = 1 + rng.next_below(5) as usize;
+        let jobs = [1usize, 4][rng.next_below(2) as usize];
+        for cadence in 1..=3 {
+            let path = dir.join(format!("ck_{trial}_{cadence}"));
+            let _ = std::fs::remove_file(&path);
+            let ck = |resume: bool, faults: ExecFaults| ResilienceConfig {
+                checkpoint: Some(CheckpointConfig {
+                    path: path.to_string_lossy().into_owned(),
+                    cadence,
+                    resume,
+                }),
+                faults,
+                ..ResilienceConfig::default()
+            };
 
-                let crash = ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() };
-                match run_fleet_resilient(&spec, shards, jobs, engine, &ck(false, crash)) {
-                    Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
-                        assert_eq!(completed, crash_at);
-                        assert_eq!(total, shards);
-                    }
-                    other => panic!("expected an interrupted fleet run, got {other:?}"),
+            let crash = ExecFaults { crash_at_cell: Some(crash_at), ..ExecFaults::default() };
+            match run_fleet_resilient(&spec, shards, jobs, engine, &ck(false, crash)) {
+                Err(dvsync::sim::DvsError::SweepInterrupted { completed, total }) => {
+                    assert_eq!(completed, crash_at);
+                    assert_eq!(total, shards);
                 }
-
-                let resumed = run_fleet_resilient(
-                    &spec,
-                    shards,
-                    jobs,
-                    engine,
-                    &ck(true, ExecFaults::default()),
-                )
-                .expect("resumed fleet run completes");
-                assert_eq!(
-                    resumed.accounting.cells_resumed,
-                    persisted_at_kill(crash_at, cadence),
-                    "checkpoint missed its last snapshot \
-                     (engine {engine:?}, killed at {crash_at}, cadence {cadence})"
-                );
-                assert_eq!(
-                    resumed.report.to_json().expect("fleet reports serialize"),
-                    clean,
-                    "fleet resume diverged \
-                     (engine {engine:?}, killed at {crash_at}, cadence {cadence}, jobs {jobs})"
-                );
-                let _ = std::fs::remove_file(&path);
+                other => panic!("expected an interrupted fleet run, got {other:?}"),
             }
+
+            let resumed =
+                run_fleet_resilient(&spec, shards, jobs, engine, &ck(true, ExecFaults::default()))
+                    .expect("resumed fleet run completes");
+            assert_eq!(
+                resumed.accounting.cells_resumed,
+                persisted_at_kill(crash_at, cadence),
+                "checkpoint missed its last snapshot (killed at {crash_at}, cadence {cadence})"
+            );
+            assert_eq!(
+                resumed.report.to_json().expect("fleet reports serialize"),
+                clean,
+                "fleet resume diverged (killed at {crash_at}, cadence {cadence}, jobs {jobs})"
+            );
+            let _ = std::fs::remove_file(&path);
         }
     }
 }

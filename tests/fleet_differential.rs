@@ -12,8 +12,8 @@
 //!   fleet runner against runs it does not share an arena with;
 //! * the sketch-reduced **fleet report** vs itself under every execution
 //!   shape — worker count (`--jobs 1` vs `4`), shard count, shard order,
-//!   engine, and resume — which is what makes fleet results reproducible
-//!   claims rather than run artifacts.
+//!   and resume — which is what makes fleet results reproducible claims
+//!   rather than run artifacts.
 
 use std::path::Path;
 
@@ -160,8 +160,8 @@ fn shard_loop_matches_fresh_runs_clean_and_faulted() {
 // pure function of the spec, whatever the execution shape.
 // ---------------------------------------------------------------------------
 
-fn fleet_json(spec: &FleetSpec, shards: usize, jobs: usize, engine: FleetEngine) -> String {
-    run_fleet_resilient(spec, shards, jobs, engine, &ResilienceConfig::default())
+fn fleet_json(spec: &FleetSpec, shards: usize, jobs: usize) -> String {
+    run_fleet_resilient(spec, shards, jobs, FleetEngine::Batched, &ResilienceConfig::default())
         .expect("fleet run succeeds")
         .report
         .to_json()
@@ -169,21 +169,14 @@ fn fleet_json(spec: &FleetSpec, shards: usize, jobs: usize, engine: FleetEngine)
 }
 
 #[test]
-fn fleet_report_is_invariant_under_jobs_shards_and_engine() {
+fn fleet_report_is_invariant_under_jobs_and_shards() {
     let spec = FleetSpec::tiny(72, 18);
-    let base = fleet_json(&spec, 1, 1, FleetEngine::Batched);
+    let base = fleet_json(&spec, 1, 1);
     for (shards, jobs) in [(1, 4), (4, 1), (4, 4), (9, 4), (72, 1)] {
         assert_eq!(
-            fleet_json(&spec, shards, jobs, FleetEngine::Batched),
+            fleet_json(&spec, shards, jobs),
             base,
-            "batched report changed under shards={shards} jobs={jobs}"
-        );
-    }
-    for (shards, jobs) in [(1, 1), (4, 4)] {
-        assert_eq!(
-            fleet_json(&spec, shards, jobs, FleetEngine::PerDevice),
-            base,
-            "per-device report changed under shards={shards} jobs={jobs}"
+            "report changed under shards={shards} jobs={jobs}"
         );
     }
 }
@@ -232,7 +225,7 @@ fn lane_pool_checkpoint_resumes_to_the_clean_report() {
     assert_eq!(resumed.accounting.cells_resumed, 3, "the checkpoint's three shards were restored");
     assert_eq!(
         resumed.report.to_json().expect("fleet reports serialize"),
-        fleet_json(&spec, 6, 1, FleetEngine::Batched),
+        fleet_json(&spec, 6, 1),
         "the resumed report differs from the uninterrupted one"
     );
 }
