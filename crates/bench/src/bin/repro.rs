@@ -834,15 +834,20 @@ fn main() -> ExitCode {
                 i += 1;
             }
             "fig" | "table" => {
-                if let Some(n) = args.get(i + 1) {
-                    wanted.push(format!("{a}{n}"));
-                    i += 1;
-                } else {
+                let Some(n) = args.get(i + 1) else {
                     eprintln!("--{a} needs a number");
                     return ExitCode::FAILURE;
-                }
+                };
+                wanted.push(format!("{a}{n}"));
+                i += 1;
             }
             other => wanted.push(other.to_string()),
+        }
+        // Checked as each word is read, so an unknown word fails before a
+        // later subcommand or any artefact runs.
+        if let Some(w) = wanted.last().filter(|w| !jobs.iter().any(|j| j.key == w.as_str())) {
+            eprintln!("repro: `{w}` names no artefact or subcommand (see repro --help)");
+            return ExitCode::FAILURE;
         }
         i += 1;
     }

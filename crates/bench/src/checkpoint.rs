@@ -98,10 +98,10 @@ impl Checkpoint {
     /// Serializes to the on-disk text: payload line + checksum line.
     pub fn to_file_text(&self) -> DvsResult<String> {
         let payload = serde_json::to_string(self)
-            // dvs-lint: allow(hot-alloc, reason = "checkpoint serialization runs at checkpoint cadence, once per N completed cells, not per frame")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "checkpoint serialization runs at checkpoint cadence, once per N completed cells, not per frame")
             .map_err(|e| DvsError::InvalidConfig(format!("checkpoint serialization: {e}")))?;
         let checksum = fingerprint_of(&payload);
-        // dvs-lint: allow(hot-alloc, reason = "checkpoint serialization runs at checkpoint cadence, once per N completed cells, not per frame")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "checkpoint serialization runs at checkpoint cadence, once per N completed cells, not per frame")
         Ok(format!("{payload}\n{checksum:016x}\n"))
     }
 
@@ -129,7 +129,7 @@ impl Checkpoint {
     pub fn load(path: &Path, expect_fingerprint: u64) -> DvsResult<Checkpoint> {
         let text = read_text(path)?;
         let corrupt = |detail: String| DvsError::CheckpointCorrupt {
-            // dvs-lint: allow(hot-alloc, reason = "checkpoint resume runs once per process, before the sweep loop starts")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "checkpoint resume runs once per process, before the sweep loop starts")
             path: path.display().to_string(),
             detail,
         };
@@ -138,33 +138,33 @@ impl Checkpoint {
             return Err(corrupt("missing checksum line (torn or short write)".into()));
         };
         let Ok(expected) = u64::from_str_radix(checksum_line.trim(), 16) else {
-            // dvs-lint: allow(hot-alloc, reason = "corrupt-checkpoint error path, at most once per resume")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "corrupt-checkpoint error path, at most once per resume")
             return Err(corrupt(format!("unparseable checksum line {checksum_line:?}")));
         };
         let actual = fingerprint_of(payload);
         if actual != expected {
-            // dvs-lint: allow(hot-alloc, reason = "corrupt-checkpoint error path, at most once per resume")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "corrupt-checkpoint error path, at most once per resume")
             return Err(corrupt(format!(
                 "checksum mismatch: payload hashes to {actual:016x}, file says {expected:016x}"
             )));
         }
         let ckpt: Checkpoint = serde_json::from_str(payload)
-            // dvs-lint: allow(hot-alloc, reason = "corrupt-checkpoint error path, at most once per resume")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "corrupt-checkpoint error path, at most once per resume")
             .map_err(|e| corrupt(format!("payload does not parse: {e}")))?;
         let incompatible = |detail: String| DvsError::CheckpointIncompatible {
-            // dvs-lint: allow(hot-alloc, reason = "checkpoint resume runs once per process, before the sweep loop starts")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "checkpoint resume runs once per process, before the sweep loop starts")
             path: path.display().to_string(),
             detail,
         };
         if ckpt.version != CHECKPOINT_VERSION {
-            // dvs-lint: allow(hot-alloc, reason = "incompatible-checkpoint error path, at most once per resume")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "incompatible-checkpoint error path, at most once per resume")
             return Err(incompatible(format!(
                 "format version {} (this build reads version {CHECKPOINT_VERSION})",
                 ckpt.version
             )));
         }
         if ckpt.fingerprint != expect_fingerprint {
-            // dvs-lint: allow(hot-alloc, reason = "incompatible-checkpoint error path, at most once per resume")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "incompatible-checkpoint error path, at most once per resume")
             return Err(incompatible(format!(
                 "grid fingerprint {:016x} does not match this sweep's {expect_fingerprint:016x} \
                  (different scenarios, buffers, mode, or retry policy)",
@@ -177,7 +177,7 @@ impl Checkpoint {
 
 /// Builds a [`DvsError::Io`] carrying the path and operation.
 pub fn checkpoint_io_error(path: &Path, op: &str, e: std::io::Error) -> DvsError {
-    // dvs-lint: allow(hot-alloc, reason = "I/O-failure error construction, cold by definition")
+    // dvs-lint: allow(hot-alloc-transitive, reason = "I/O-failure error construction, cold by definition")
     DvsError::Io { path: path.display().to_string(), op: op.to_string(), detail: e.to_string() }
 }
 

@@ -20,8 +20,6 @@ use dvs_metrics::InterferenceRow;
 use dvs_workload::CompositeScenario;
 use serde::{Deserialize, Serialize};
 
-use crate::golden::Tolerance;
-
 /// The compose budget the interference experiment runs under: one latch per
 /// panel VSync, so any two eligible surfaces contend.
 pub const INTERFERENCE_BUDGET: usize = 1;
@@ -60,66 +58,6 @@ pub fn run_scenario(scenario: &CompositeScenario, budget: usize) -> ComposeRow {
     }
 }
 
-/// Compares two sweeps within `tol`, returning human-readable violations.
-///
-/// Shape mismatches (scenario list, surface list, policy labels) are exact;
-/// FDPS and latency values use the golden tolerances.
-pub fn compare(actual: &ComposeSweep, golden: &ComposeSweep, tol: Tolerance) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if actual.rows.len() != golden.rows.len() {
-        diffs.push(format!(
-            "scenario count: actual {} vs golden {}",
-            actual.rows.len(),
-            golden.rows.len()
-        ));
-        return diffs;
-    }
-    for (a, g) in actual.rows.iter().zip(&golden.rows) {
-        if a.scenario != g.scenario || a.panel_hz != g.panel_hz {
-            diffs.push(format!("scenario identity: {} vs {}", a.scenario, g.scenario));
-            continue;
-        }
-        if a.surfaces.len() != g.surfaces.len() {
-            diffs.push(format!(
-                "{}: surface count {} vs {}",
-                a.scenario,
-                a.surfaces.len(),
-                g.surfaces.len()
-            ));
-            continue;
-        }
-        for (sa, sg) in a.surfaces.iter().zip(&g.surfaces) {
-            let ctx = format!("{}/{}", a.scenario, sa.name);
-            if sa.name != sg.name || sa.path != sg.path || sa.priority != sg.priority {
-                diffs.push(format!("{ctx}: surface identity/policy changed"));
-                continue;
-            }
-            for (what, av, gv, slack) in [
-                ("solo FDPS", sa.solo_fdps, sg.solo_fdps, tol.fdps),
-                ("composed FDPS", sa.composed_fdps, sg.composed_fdps, tol.fdps),
-                ("solo latency", sa.solo_latency_ms, sg.solo_latency_ms, tol.latency_ms),
-                (
-                    "composed latency",
-                    sa.composed_latency_ms,
-                    sg.composed_latency_ms,
-                    tol.latency_ms,
-                ),
-            ] {
-                if (av - gv).abs() > slack {
-                    diffs.push(format!("{ctx}: {what} {av:.4} vs golden {gv:.4} (±{slack})"));
-                }
-            }
-            if sa.deferred_latches != sg.deferred_latches {
-                diffs.push(format!(
-                    "{ctx}: deferred latches {} vs golden {}",
-                    sa.deferred_latches, sg.deferred_latches
-                ));
-            }
-        }
-    }
-    diffs
-}
-
 /// Renders the sweep as the `repro compose` table.
 pub fn render(sweep: &ComposeSweep) -> String {
     let mut out = String::from(
@@ -154,19 +92,6 @@ pub fn render(sweep: &ComposeSweep) -> String {
 mod tests {
     use super::*;
     use dvs_workload::app_plus_video;
-
-    #[test]
-    fn compare_accepts_self_and_flags_shape_changes() {
-        let row = run_scenario(&app_plus_video(60, 60), 1);
-        let sweep = ComposeSweep { rows: vec![row] };
-        assert!(compare(&sweep, &sweep, Tolerance::default()).is_empty());
-        let mut shrunk = sweep.clone();
-        shrunk.rows.clear();
-        assert!(!compare(&sweep, &shrunk, Tolerance::default()).is_empty());
-        let mut perturbed = sweep.clone();
-        perturbed.rows[0].surfaces[0].deferred_latches += 1;
-        assert!(!compare(&sweep, &perturbed, Tolerance::default()).is_empty());
-    }
 
     #[test]
     fn render_names_every_surface() {

@@ -19,7 +19,6 @@ use dvs_sim::SimDuration;
 use dvs_workload::{CostProfile, FrameCost, FrameTrace, ScenarioSpec, TraceCache};
 use serde::{Deserialize, Serialize};
 
-use crate::golden::Tolerance;
 use crate::sweep::{PacerKind, SweepEngine};
 
 /// One cell of the fault matrix: a scenario under one fault profile and one
@@ -228,8 +227,7 @@ pub fn run(jobs: usize) -> FaultMatrixResult {
 
 // ---- Golden summaries ------------------------------------------------------
 
-/// The canonical fault-matrix summary stored as a golden file. Counts must
-/// match exactly (the simulator is deterministic); floats get tolerances.
+/// The canonical fault-matrix summary stored as a golden file.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GoldenFaultMatrix {
     /// Per-cell rows, in matrix order.
@@ -240,56 +238,6 @@ impl From<&FaultMatrixResult> for GoldenFaultMatrix {
     fn from(r: &FaultMatrixResult) -> Self {
         GoldenFaultMatrix { rows: r.rows.clone() }
     }
-}
-
-/// Compares a fault-matrix summary against its golden.
-pub fn compare_fault_matrix(
-    actual: &GoldenFaultMatrix,
-    golden: &GoldenFaultMatrix,
-    tol: Tolerance,
-) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if actual.rows.len() != golden.rows.len() {
-        diffs.push(format!("row count: {} vs {}", actual.rows.len(), golden.rows.len()));
-        return diffs;
-    }
-    for (a, g) in actual.rows.iter().zip(&golden.rows) {
-        let key = format!("{}/{}/{}", a.scenario, a.profile, a.pacer);
-        if (a.scenario.as_str(), a.profile.as_str(), a.pacer.as_str())
-            != (g.scenario.as_str(), g.profile.as_str(), g.pacer.as_str())
-        {
-            diffs.push(format!("row order: {key} vs {}/{}/{}", g.scenario, g.profile, g.pacer));
-            continue;
-        }
-        if (a.frames, a.faults_injected, a.janks, a.degradations, a.recoveries)
-            != (g.frames, g.faults_injected, g.janks, g.degradations, g.recoveries)
-        {
-            diffs.push(format!(
-                "{key}: counts (frames {}, faults {}, janks {}, deg {}, rec {}) \
-                 vs golden (frames {}, faults {}, janks {}, deg {}, rec {})",
-                a.frames,
-                a.faults_injected,
-                a.janks,
-                a.degradations,
-                a.recoveries,
-                g.frames,
-                g.faults_injected,
-                g.janks,
-                g.degradations,
-                g.recoveries
-            ));
-        }
-        if (a.fdps - g.fdps).abs() > tol.fdps {
-            diffs.push(format!("{key}: fdps {:.4} vs {:.4}", a.fdps, g.fdps));
-        }
-        if (a.mean_latency_ms - g.mean_latency_ms).abs() > tol.latency_ms {
-            diffs.push(format!(
-                "{key}: latency {:.4} vs {:.4}",
-                a.mean_latency_ms, g.mean_latency_ms
-            ));
-        }
-    }
-    diffs
 }
 
 // ---- The degraded-mode reference case --------------------------------------
@@ -357,31 +305,6 @@ pub fn run_degraded_case() -> GoldenDegradedMode {
             })
             .collect(),
     }
-}
-
-/// Compares the degraded-mode case exactly (no tolerances: every field is a
-/// count or a deterministic string).
-pub fn compare_degraded_mode(
-    actual: &GoldenDegradedMode,
-    golden: &GoldenDegradedMode,
-) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if actual == golden {
-        return diffs;
-    }
-    if actual.frames != golden.frames {
-        diffs.push(format!("frames: {} vs {}", actual.frames, golden.frames));
-    }
-    if actual.janks != golden.janks {
-        diffs.push(format!("janks: {} vs {}", actual.janks, golden.janks));
-    }
-    if actual.faults_injected != golden.faults_injected {
-        diffs.push(format!("faults: {} vs {}", actual.faults_injected, golden.faults_injected));
-    }
-    if actual.transitions != golden.transitions {
-        diffs.push(format!("transitions: {:?} vs {:?}", actual.transitions, golden.transitions));
-    }
-    diffs
 }
 
 #[cfg(test)]
@@ -461,14 +384,5 @@ mod tests {
         assert!(case.transitions.iter().any(|t| t.mode == "decoupled"));
         // Deterministic replay.
         assert_eq!(case, run_degraded_case());
-    }
-
-    #[test]
-    fn comparator_flags_count_drift() {
-        let golden = run_degraded_case();
-        let mut bad = golden.clone();
-        bad.janks += 1;
-        assert!(compare_degraded_mode(&golden, &golden).is_empty());
-        assert_eq!(compare_degraded_mode(&bad, &golden).len(), 1);
     }
 }

@@ -1,52 +1,36 @@
 //! Golden-baseline regression layer: canonical result summaries checked in
-//! as JSON under the repo-root `tests/golden/`, compared with explicit
-//! tolerances.
+//! as JSON under the repo-root `tests/golden/`, compared byte for byte.
 //!
-//! The simulator is fully deterministic, so fresh runs normally match the
-//! goldens exactly; the tolerances exist to absorb *intentional* small
-//! algorithm changes without churning the files, while still failing loudly
-//! on real regressions (a scenario starting to drop frames, a reduction
-//! percentage sliding, latency drifting).
+//! The simulator is deterministic, so a fresh run serializes to exactly the
+//! committed bytes. [`check_against`] serializes the actual value the way
+//! [`write_golden`] writes it (pretty JSON plus a final newline) and compares
+//! that text with the file: one ulp of an FDPS value or one extra jank is a
+//! [`DvsError::GoldenMismatch`] naming the first differing lines. The
+//! `Golden*` summary types below define each file's bytes.
 //!
 //! Regenerating after an intentional behaviour change:
 //!
 //! ```text
-//! REGEN_GOLDEN=1 cargo test -p dvs-bench --test golden_baselines
+//! REGEN_GOLDEN=1 cargo test -p dvs-bench
 //! ```
 //!
-//! then review the diff like any other code change.
+//! then review the diff like any other code change: it lists every golden
+//! the change moved.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
 use dvs_sim::{DvsError, DvsResult};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{checkpoint_io_error, read_text};
+use crate::checkpoint::{read_text, write_text};
 use crate::suite::SuiteResult;
 use crate::suite75::Census;
 
-/// Absolute tolerances for golden comparisons.
-///
-/// Defaults are deliberately tight relative to the quantities' scales
-/// (FDPS values run 0–10, reductions 0–100 %): a real regression — one extra
-/// dropping scenario, a percent of reduction lost — exceeds them, while
-/// float-level noise from a refactor does not.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Tolerance {
-    /// Absolute FDPS slack per scenario and per average.
-    pub fdps: f64,
-    /// Absolute latency slack in milliseconds.
-    pub latency_ms: f64,
-    /// Absolute slack on reduction percentages.
-    pub reduction_pct: f64,
-}
+/// The command that rewrites every golden from fresh runs.
+const REGEN_COMMAND: &str = "REGEN_GOLDEN=1 cargo test -p dvs-bench";
 
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance { fdps: 0.05, latency_ms: 0.1, reduction_pct: 1.0 }
-    }
-}
+/// How many differing lines a mismatch report lists.
+const SHOWN_LINES: usize = 3;
 
 /// One scenario's canonical numbers in a golden file.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -143,25 +127,6 @@ impl GoldenCensus {
     }
 }
 
-/// Absolute tolerances for fleet golden comparisons, one per metric. The
-/// defaults are one sketch-grid bin width each: quantiles read off the grid
-/// are bin-edge values, so a one-bin shift is the smallest real movement.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct FleetTolerance {
-    /// Slack on FDPS figures (grid: 0–25 over 500 bins).
-    pub fdps: f64,
-    /// Slack on latency figures in ms (grid: 0–200 over 400 bins).
-    pub latency_ms: f64,
-    /// Slack on energy figures in mJ (grid: 0–50 000 over 500 bins).
-    pub energy_mj: f64,
-}
-
-impl Default for FleetTolerance {
-    fn default() -> Self {
-        FleetTolerance { fdps: 0.05, latency_ms: 0.5, energy_mj: 100.0 }
-    }
-}
-
 /// One fleet metric's canonical distribution figures.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GoldenFleetMetric {
@@ -222,41 +187,6 @@ impl From<&crate::fleet::FleetReport> for GoldenFleet {
     }
 }
 
-/// Compares a fleet summary against its golden. Counts must match exactly;
-/// each metric's figures get that metric's tolerance.
-pub fn compare_fleet(
-    actual: &GoldenFleet,
-    golden: &GoldenFleet,
-    tol: FleetTolerance,
-) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if (actual.devices, actual.frames_per_device, actual.measured)
-        != (golden.devices, golden.frames_per_device, golden.measured)
-    {
-        diffs.push(format!(
-            "population shape: {}x{} ({} measured) vs golden {}x{} ({} measured)",
-            actual.devices,
-            actual.frames_per_device,
-            actual.measured,
-            golden.devices,
-            golden.frames_per_device,
-            golden.measured
-        ));
-    }
-    for (name, a, g, t) in [
-        ("fdps", &actual.fdps, &golden.fdps, tol.fdps),
-        ("latency_ms", &actual.latency_ms, &golden.latency_ms, tol.latency_ms),
-        ("energy_mj", &actual.energy_mj, &golden.energy_mj, tol.energy_mj),
-    ] {
-        near(a.mean, g.mean, t, &format!("{name} mean"), &mut diffs);
-        near(a.p50, g.p50, t, &format!("{name} p50"), &mut diffs);
-        near(a.p90, g.p90, t, &format!("{name} p90"), &mut diffs);
-        near(a.p99, g.p99, t, &format!("{name} p99"), &mut diffs);
-        near(a.max, g.max, t, &format!("{name} max"), &mut diffs);
-    }
-    diffs
-}
-
 /// The repo-root `tests/golden/` directory (canonical golden location).
 pub fn golden_dir() -> PathBuf {
     // dvs-bench lives at <repo>/crates/bench.
@@ -268,167 +198,77 @@ pub fn regen_requested() -> bool {
     std::env::var_os("REGEN_GOLDEN").is_some_and(|v| v == "1")
 }
 
-fn near(actual: f64, golden: f64, tol: f64, what: &str, diffs: &mut Vec<String>) {
-    if (actual - golden).abs() > tol {
-        diffs.push(format!("{what}: actual {actual:.4} vs golden {golden:.4} (tol {tol})"));
-    }
+/// Checks `actual` against the golden at `path` byte for byte, honouring
+/// `REGEN_GOLDEN=1`: `actual` is serialized exactly as [`write_golden`]
+/// writes it, and [`check_text`] compares that text with the file.
+pub fn check_against<T: Serialize>(path: &Path, actual: &T) -> DvsResult<()> {
+    check_text(path, &golden_text(actual)?)
 }
 
-/// Compares a suite summary against its golden within `tol`.
+/// Compares `actual` with the file at `path` byte for byte; with
+/// `REGEN_GOLDEN=1` it writes `actual` there instead. This is the text half
+/// of [`check_against`], for goldens that a renderer of their own writes
+/// (the lint report).
 ///
-/// Returns every violation, not just the first, so a regression's scope is
-/// visible from one failure message.
-pub fn compare_suite(actual: &GoldenSuite, golden: &GoldenSuite, tol: Tolerance) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if actual.baseline_buffers != golden.baseline_buffers {
-        diffs.push(format!(
-            "baseline_buffers: {} vs {}",
-            actual.baseline_buffers, golden.baseline_buffers
-        ));
-    }
-    if actual.dvsync_buffers != golden.dvsync_buffers {
-        diffs.push(format!(
-            "dvsync_buffers: {:?} vs {:?}",
-            actual.dvsync_buffers, golden.dvsync_buffers
-        ));
-    }
-    near(actual.avg_baseline_fdps, golden.avg_baseline_fdps, tol.fdps, "avg baseline", &mut diffs);
-    for (i, (a, g)) in actual.reductions_pct.iter().zip(&golden.reductions_pct).enumerate() {
-        near(*a, *g, tol.reduction_pct, &format!("reduction[{i}]"), &mut diffs);
-    }
-    if actual.rows.len() != golden.rows.len() {
-        diffs.push(format!("row count: {} vs {}", actual.rows.len(), golden.rows.len()));
-        return diffs;
-    }
-    for (a, g) in actual.rows.iter().zip(&golden.rows) {
-        if a.abbrev != g.abbrev {
-            diffs.push(format!("row order: {} vs {}", a.abbrev, g.abbrev));
-            continue;
-        }
-        near(
-            a.baseline_fdps,
-            g.baseline_fdps,
-            tol.fdps,
-            &format!("{} baseline", a.abbrev),
-            &mut diffs,
-        );
-        for (i, (af, gf)) in a.dvsync_fdps.iter().zip(&g.dvsync_fdps).enumerate() {
-            near(*af, *gf, tol.fdps, &format!("{} dvsync[{i}]", a.abbrev), &mut diffs);
-        }
-        near(
-            a.baseline_latency_ms,
-            g.baseline_latency_ms,
-            tol.latency_ms,
-            &format!("{} base latency", a.abbrev),
-            &mut diffs,
-        );
-        near(
-            a.dvsync_latency_ms,
-            g.dvsync_latency_ms,
-            tol.latency_ms,
-            &format!("{} dvs latency", a.abbrev),
-            &mut diffs,
-        );
-    }
-    diffs
-}
-
-/// Compares a census summary against its golden. Counts must match exactly;
-/// the dropping-case FDPS average gets the FDPS tolerance.
-pub fn compare_census(actual: &GoldenCensus, golden: &GoldenCensus, tol: Tolerance) -> Vec<String> {
-    let mut diffs = Vec::new();
-    if actual.platforms.len() != golden.platforms.len() {
-        diffs.push(format!(
-            "platform count: {} vs {}",
-            actual.platforms.len(),
-            golden.platforms.len()
-        ));
-        return diffs;
-    }
-    for (a, g) in actual.platforms.iter().zip(&golden.platforms) {
-        if a.platform != g.platform {
-            diffs.push(format!("platform order: {} vs {}", a.platform, g.platform));
-            continue;
-        }
-        if (a.total, a.with_drops, a.paper_with_drops)
-            != (g.total, g.with_drops, g.paper_with_drops)
-        {
-            diffs.push(format!(
-                "{}: {}/{} dropping (paper {}) vs golden {}/{} (paper {})",
-                a.platform,
-                a.with_drops,
-                a.total,
-                a.paper_with_drops,
-                g.with_drops,
-                g.total,
-                g.paper_with_drops
-            ));
-        }
-        near(
-            a.avg_fdps_dropping,
-            g.avg_fdps_dropping,
-            tol.fdps,
-            &format!("{} avg dropping FDPS", a.platform),
-            &mut diffs,
-        );
-    }
-    diffs
-}
-
-/// Checks `actual` against the golden at `path`, honouring `REGEN_GOLDEN=1`.
-///
-/// With regeneration requested the file is (re)written and the check passes;
-/// otherwise the golden is loaded and compared via `compare`. Failures are
-/// typed: a missing file is [`DvsError::Io`] (the detail names the
-/// regeneration command), an unparseable golden is
-/// [`DvsError::InvalidConfig`], and tolerance violations are
-/// [`DvsError::GoldenMismatch`] carrying the full violation list.
-pub fn check_against<T, F>(path: &Path, actual: &T, compare: F) -> DvsResult<()>
-where
-    T: Serialize + serde::DeserializeOwned,
-    F: Fn(&T, &T) -> Vec<String>,
-{
+/// Failures are typed: a missing file is [`DvsError::Io`] (the detail names
+/// the regeneration command), and differing bytes are
+/// [`DvsError::GoldenMismatch`] naming the first differing lines.
+pub fn check_text(path: &Path, actual: &str) -> DvsResult<()> {
     if regen_requested() {
-        return write_golden(path, actual);
+        return write_text(path, actual);
     }
-    let text = read_text(path).map_err(|e| match e {
+    let golden = read_text(path).map_err(|e| match e {
         DvsError::Io { path, op, detail } => DvsError::Io {
             path,
             op,
-            detail: format!(
-                "{detail} (missing golden? regenerate with REGEN_GOLDEN=1 cargo test -p dvs-bench)"
-            ),
+            detail: format!("{detail} (missing golden? regenerate with {REGEN_COMMAND})"),
         },
         other => other,
     })?;
-    let golden: T = serde_json::from_str(&text).map_err(|e| {
-        DvsError::InvalidConfig(format!("golden {} does not parse: {e}", path.display()))
-    })?;
-    let diffs = compare(actual, &golden);
-    if diffs.is_empty() {
-        Ok(())
-    } else {
-        Err(DvsError::GoldenMismatch {
-            path: path.display().to_string(),
-            detail: format!(
-                "{} violations:\n  {}\n\
-                 if intentional, regenerate with REGEN_GOLDEN=1 and review the diff",
-                diffs.len(),
-                diffs.join("\n  ")
-            ),
-        })
+    if golden == actual {
+        return Ok(());
     }
+    Err(DvsError::GoldenMismatch {
+        path: path.display().to_string(),
+        detail: format!(
+            "{}if intentional, regenerate with {REGEN_COMMAND} and review the diff",
+            first_differences(&golden, actual)
+        ),
+    })
+}
+
+/// Lists the first lines where `golden` and `actual` differ, numbered from
+/// 1. Splitting on `\n` keeps a missing final newline visible as a line.
+fn first_differences(golden: &str, actual: &str) -> String {
+    let golden: Vec<&str> = golden.split('\n').collect();
+    let actual: Vec<&str> = actual.split('\n').collect();
+    let show = |line: Option<&&str>| line.map_or("(end of file)".to_string(), |l| format!("`{l}`"));
+    let mut out = String::new();
+    for i in (0..golden.len().max(actual.len()))
+        .filter(|&i| golden.get(i) != actual.get(i))
+        .take(SHOWN_LINES)
+    {
+        out.push_str(&format!(
+            "line {}:\n  golden {}\n  actual {}\n",
+            i + 1,
+            show(golden.get(i)),
+            show(actual.get(i))
+        ));
+    }
+    out
+}
+
+/// The bytes a golden holds for `value`: pretty JSON plus a final newline.
+fn golden_text<T: Serialize>(value: &T) -> DvsResult<String> {
+    let mut text = serde_json::to_string_pretty(value)
+        .map_err(|e| DvsError::InvalidConfig(format!("golden serialization: {e}")))?;
+    text.push('\n');
+    Ok(text)
 }
 
 /// Writes `value` as pretty JSON to `path`, creating parent directories.
 pub fn write_golden<T: Serialize>(path: &Path, value: &T) -> DvsResult<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| checkpoint_io_error(parent, "create dir", e))?;
-    }
-    let mut text = serde_json::to_string_pretty(value)
-        .map_err(|e| DvsError::InvalidConfig(format!("golden serialization: {e}")))?;
-    text.push('\n');
-    fs::write(path, text).map_err(|e| checkpoint_io_error(path, "write", e))
+    write_text(path, &golden_text(value)?)
 }
 
 #[cfg(test)]
@@ -453,39 +293,28 @@ mod tests {
     }
 
     #[test]
-    fn identical_suites_compare_clean() {
-        let g = sample();
-        assert!(compare_suite(&g, &g, Tolerance::default()).is_empty());
-    }
-
-    #[test]
-    fn perturbation_beyond_tolerance_fails() {
-        let golden = sample();
-        let mut bad = sample();
-        bad.rows[0].baseline_fdps += 0.2; // 4× the 0.05 FDPS tolerance
-        let diffs = compare_suite(&bad, &golden, Tolerance::default());
-        assert_eq!(diffs.len(), 1, "{diffs:?}");
-        assert!(diffs[0].contains("App baseline"), "{diffs:?}");
-    }
-
-    #[test]
-    fn perturbation_within_tolerance_passes() {
-        let golden = sample();
-        let mut ok = sample();
-        ok.rows[0].baseline_fdps += 0.03;
-        ok.reductions_pct[1] += 0.5;
-        assert!(compare_suite(&ok, &golden, Tolerance::default()).is_empty());
-    }
-
-    #[test]
-    fn golden_roundtrip_via_file() {
-        let dir = std::env::temp_dir().join("dvsync_golden_test");
-        let path = dir.join("roundtrip.json");
+    fn written_golden_checks_clean_and_one_ulp_does_not() {
+        if regen_requested() {
+            return; // the check writes instead of comparing
+        }
+        let path = std::env::temp_dir().join("dvsync_golden_test").join("roundtrip.json");
         let g = sample();
         write_golden(&path, &g).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        let back: GoldenSuite = serde_json::from_str(&text).unwrap();
-        assert!(compare_suite(&g, &back, Tolerance::default()).is_empty());
-        let _ = fs::remove_file(&path);
+        check_against(&path, &g).unwrap();
+
+        let mut moved = sample();
+        moved.rows[0].dvsync_latency_ms = f64::from_bits(35f64.to_bits() + 1);
+        let err = check_against(&path, &moved).unwrap_err().to_string();
+        assert!(err.contains("line 22:"), "{err}");
+        assert!(err.contains("golden `      \"dvsync_latency_ms\": 35`"), "{err}");
+        assert!(err.contains("actual `      \"dvsync_latency_ms\": 35.00000000000001`"), "{err}");
+        assert!(err.contains(REGEN_COMMAND), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_missing_final_newline_is_a_differing_line() {
+        let diff = first_differences("{}\n", "{}");
+        assert_eq!(diff, "line 2:\n  golden ``\n  actual (end of file)\n");
     }
 }

@@ -219,7 +219,7 @@ fn install_contained_panic_hook() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
         let prev = std::panic::take_hook();
-        // dvs-lint: allow(hot-alloc, reason = "one-time panic-hook installation behind a Once")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "one-time panic-hook installation behind a Once")
         std::panic::set_hook(Box::new(move |info| {
             if CONTAINED.with(|c| c.get()) {
                 return;
@@ -232,13 +232,13 @@ fn install_contained_panic_hook() {
 /// Extracts the human-readable payload of a caught panic.
 fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        // dvs-lint: allow(hot-alloc, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        // dvs-lint: allow(hot-alloc, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
         s.clone()
     } else {
-        // dvs-lint: allow(hot-alloc, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
         "panic with non-string payload".to_string()
     }
 }
@@ -422,9 +422,9 @@ where
                     Err(e) => CellSlot {
                         ok: None,
                         quarantined: Some(QuarantinedSlot {
-                            // dvs-lint: allow(hot-alloc, reason = "quarantine-cause construction on the serialization-failure path only")
+                            // dvs-lint: allow(hot-alloc-transitive, reason = "quarantine-cause construction on the serialization-failure path only")
                             key: key.to_string(),
-                            // dvs-lint: allow(hot-alloc, reason = "quarantine-cause construction on the serialization-failure path only")
+                            // dvs-lint: allow(hot-alloc-transitive, reason = "quarantine-cause construction on the serialization-failure path only")
                             cause: format!("cell metrics failed to serialize: {e}"),
                         }),
                         attempts,
@@ -436,15 +436,15 @@ where
                 // wholesale rather than trusting its internal state.
                 *arena = RunArena::new();
                 let cause = panic_cause(payload);
-                // dvs-lint: allow(hot-alloc, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
                 let failure = DvsError::CellFailed { key: key.to_string(), cause };
                 if attempts >= budget {
                     return CellSlot {
                         ok: None,
                         quarantined: Some(QuarantinedSlot {
-                            // dvs-lint: allow(hot-alloc, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
+                            // dvs-lint: allow(hot-alloc-transitive, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
                             key: key.to_string(),
-                            // dvs-lint: allow(hot-alloc, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
+                            // dvs-lint: allow(hot-alloc-transitive, reason = "caught-panic bookkeeping is the cold failure path, never the measured path")
                             cause: failure.to_string(),
                         }),
                         attempts,
@@ -536,7 +536,7 @@ where
             // gets no such snapshot.
             if sh.since_checkpoint >= writer.config.cadence || (sh.done == n && !crashed) {
                 sh.since_checkpoint = 0;
-                // dvs-lint: allow(hot-alloc, reason = "the snapshot copy is cadence-gated checkpoint I/O, outside every cell's compute")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "the snapshot copy is cadence-gated checkpoint I/O, outside every cell's compute")
                 writer.offer(sh.slots.clone());
             }
         }

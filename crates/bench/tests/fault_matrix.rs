@@ -9,10 +9,9 @@
 //! ```
 
 use dvs_bench::faultmatrix::{
-    compare_degraded_mode, compare_fault_matrix, default_specs, run_degraded_case,
-    run_fault_matrix_jobs, GoldenDegradedMode, GoldenFaultMatrix,
+    default_specs, run_degraded_case, run_fault_matrix_jobs, GoldenFaultMatrix,
 };
-use dvs_bench::golden::{check_against, golden_dir, Tolerance};
+use dvs_bench::golden::{check_against, golden_dir};
 
 /// The matrix the goldens pin: every named profile over the default specs.
 fn matrix(jobs: usize) -> dvs_bench::faultmatrix::FaultMatrixResult {
@@ -29,23 +28,14 @@ fn matrix(jobs: usize) -> dvs_bench::faultmatrix::FaultMatrixResult {
 #[test]
 fn fault_matrix_matches_golden() {
     let actual = GoldenFaultMatrix::from(&matrix(1));
-    let path = golden_dir().join("fault_matrix.json");
-    if let Err(e) =
-        check_against(&path, &actual, |a, g| compare_fault_matrix(a, g, Tolerance::default()))
-    {
-        panic!("{e}");
-    }
+    check_against(&golden_dir().join("fault_matrix.json"), &actual)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn degraded_mode_matches_golden() {
-    let actual = run_degraded_case();
-    let path = golden_dir().join("degraded_mode.json");
-    if let Err(e) =
-        check_against(&path, &actual, |a: &GoldenDegradedMode, g| compare_degraded_mode(a, g))
-    {
-        panic!("{e}");
-    }
+    check_against(&golden_dir().join("degraded_mode.json"), &run_degraded_case())
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! one bin width of the exact values computed from full records, across
 //! every suite75 scenario.
 
-use dvs_bench::golden::{check_against, compare_fleet, golden_dir, FleetTolerance, GoldenFleet};
+use dvs_bench::golden::{check_against, golden_dir, regen_requested, GoldenFleet};
 use dvs_bench::{run_fleet_resilient, FleetEngine, ResilienceConfig};
 use dvs_core::{DvsyncConfig, DvsyncPacer};
 use dvs_metrics::{Cdf, RunAggregate, LATENCY_GRID_HI_MS};
@@ -27,28 +27,30 @@ fn tiny_report() -> GoldenFleet {
 /// `REGEN_GOLDEN=1 cargo test -p dvs-bench --test fleet_golden`.
 #[test]
 fn fleet_tiny_matches_golden() {
-    check_against(&golden_dir().join("fleet_tiny.json"), &tiny_report(), |a, g| {
-        compare_fleet(a, g, FleetTolerance::default())
-    })
-    .unwrap();
+    check_against(&golden_dir().join("fleet_tiny.json"), &tiny_report())
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// A perturbation beyond tolerance must fail against the checked-in golden.
+/// One ulp on the latency p99 fails the checked-in golden and the report
+/// names the changed line.
 #[test]
 fn injected_perturbation_fails_golden() {
     let path = golden_dir().join("fleet_tiny.json");
-    if dvs_bench::golden::regen_requested() || !path.exists() {
+    if regen_requested() || !path.exists() {
         // Nothing to perturb against while regenerating a fresh tree.
         return;
     }
     let text = std::fs::read_to_string(&path).unwrap();
     let mut perturbed: GoldenFleet = serde_json::from_str(&text).unwrap();
-    perturbed.latency_ms.p99 += 10.0 * FleetTolerance::default().latency_ms;
-    let err =
-        check_against(&path, &perturbed, |a, g| compare_fleet(a, g, FleetTolerance::default()))
-            .unwrap_err();
+    let golden = perturbed.latency_ms.p99;
+    perturbed.latency_ms.p99 = f64::from_bits(golden.to_bits() + 1);
+    let moved = perturbed.latency_ms.p99;
+    let err = check_against(&path, &perturbed).unwrap_err();
     assert!(matches!(err, dvs_sim::DvsError::GoldenMismatch { .. }), "{err}");
-    assert!(err.to_string().contains("latency_ms p99"), "{err}");
+    let err = err.to_string();
+    assert!(err.contains("line 17:"), "{err}");
+    assert!(err.contains(&format!("golden `    \"p99\": {golden},`")), "{err}");
+    assert!(err.contains(&format!("actual `    \"p99\": {moved},`")), "{err}");
 }
 
 /// Sketch-derived latency quantiles stay within one grid-bin width of the

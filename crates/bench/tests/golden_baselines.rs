@@ -1,14 +1,13 @@
 //! Golden-baseline regression tests: canonical result summaries are checked
-//! in under the repo-root `tests/golden/` and fresh runs must match them
-//! within the documented tolerances ([`dvs_bench::golden::Tolerance`]).
+//! in under the repo-root `tests/golden/` and fresh runs must reproduce them
+//! byte for byte ([`dvs_bench::golden::check_against`]).
 //!
 //! Regenerate after an intentional behaviour change with
 //! `REGEN_GOLDEN=1 cargo test -p dvs-bench --test golden_baselines`,
 //! then review the JSON diff.
 
 use dvs_bench::golden::{
-    check_against, compare_census, compare_suite, golden_dir, write_golden, GoldenCensus,
-    GoldenSuite, Tolerance,
+    check_against, golden_dir, regen_requested, write_golden, GoldenCensus, GoldenSuite,
 };
 use dvs_bench::{fig11_apps, suite75};
 
@@ -17,10 +16,8 @@ use dvs_bench::{fig11_apps, suite75};
 #[test]
 fn census_matches_golden() {
     let actual = GoldenCensus::from_rows(&suite75::run());
-    check_against(&golden_dir().join("suite75_census.json"), &actual, |a, g| {
-        compare_census(a, g, Tolerance::default())
-    })
-    .unwrap();
+    check_against(&golden_dir().join("suite75_census.json"), &actual)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Figure 11's 25-app Pixel 5 suite: per-app FDPS under VSync 3 buf and
@@ -28,38 +25,41 @@ fn census_matches_golden() {
 #[test]
 fn apps_suite_matches_golden() {
     let actual = GoldenSuite::from(&fig11_apps::run());
-    check_against(&golden_dir().join("apps_pixel5.json"), &actual, |a, g| {
-        compare_suite(a, g, Tolerance::default())
-    })
-    .unwrap();
+    check_against(&golden_dir().join("apps_pixel5.json"), &actual)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// The regeneration escape hatch round-trips: writing a summary and loading
-/// it back compares clean, so `REGEN_GOLDEN=1` always leaves a passing tree.
+/// The regeneration escape hatch round-trips: writing a summary and checking
+/// it back passes, so `REGEN_GOLDEN=1` always leaves a passing tree.
 #[test]
 fn regen_roundtrip_leaves_passing_golden() {
     let dir = std::env::temp_dir().join("dvsync_golden_regen");
     let path = dir.join("mate40_roundtrip.json");
     let actual = GoldenSuite::from(&dvs_bench::fig12_13_oscases::run_fig13_mate40());
     write_golden(&path, &actual).unwrap();
-    check_against(&path, &actual, |a, g| compare_suite(a, g, Tolerance::default())).unwrap();
+    check_against(&path, &actual).unwrap_or_else(|e| panic!("{e}"));
     let _ = std::fs::remove_file(&path);
 }
 
-/// An injected FDPS perturbation beyond tolerance must fail the comparator
-/// against the checked-in golden (the acceptance criterion for the layer).
+/// One ulp on Walmart's baseline FDPS fails the checked-in golden and the
+/// report names the changed line.
 #[test]
 fn injected_perturbation_fails_golden() {
     let path = golden_dir().join("apps_pixel5.json");
-    if dvs_bench::golden::regen_requested() || !path.exists() {
+    if regen_requested() || !path.exists() {
         // Nothing to perturb against while regenerating a fresh tree.
         return;
     }
     let text = std::fs::read_to_string(&path).unwrap();
     let mut perturbed: GoldenSuite = serde_json::from_str(&text).unwrap();
-    perturbed.rows[0].baseline_fdps += 10.0 * Tolerance::default().fdps;
-    let err = check_against(&path, &perturbed, |a, g| compare_suite(a, g, Tolerance::default()))
-        .unwrap_err();
+    let walmart = perturbed.rows.iter_mut().find(|r| r.abbrev == "Walmart").unwrap();
+    let golden = walmart.baseline_fdps;
+    walmart.baseline_fdps = f64::from_bits(golden.to_bits() + 1);
+    let moved = walmart.baseline_fdps;
+    let err = check_against(&path, &perturbed).unwrap_err();
     assert!(matches!(err, dvs_sim::DvsError::GoldenMismatch { .. }), "{err}");
-    assert!(err.to_string().contains("golden mismatch"), "{err}");
+    let err = err.to_string();
+    assert!(err.contains("line 18:"), "{err}");
+    assert!(err.contains(&format!("golden `      \"baseline_fdps\": {golden},`")), "{err}");
+    assert!(err.contains(&format!("actual `      \"baseline_fdps\": {moved},`")), "{err}");
 }

@@ -13,7 +13,7 @@
 
 use std::path::Path;
 
-use dvs_bench::golden::{golden_dir, regen_requested};
+use dvs_bench::golden::{check_text, golden_dir};
 use dvs_lint::{analyze_workspace, render_json};
 
 fn repo_root() -> &'static Path {
@@ -33,24 +33,8 @@ fn workspace_is_lint_clean() {
 #[test]
 fn workspace_report_matches_golden() {
     let analysis = analyze_workspace(repo_root()).expect("workspace lints");
-    let got = render_json(&analysis);
-    let path = golden_dir().join("lint_workspace.json");
-    if regen_requested() {
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "read golden {}: {e}\nrun `REGEN_GOLDEN=1 cargo test -p dvs-bench --test \
-             lint_workspace` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "workspace lint fingerprint drifted; if the scope change is intentional, \
-         regenerate with REGEN_GOLDEN=1 and review the diff"
-    );
+    check_text(&golden_dir().join("lint_workspace.json"), &render_json(&analysis))
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Negative coverage for the schema lock: tampering with a locked struct's

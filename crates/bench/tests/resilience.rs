@@ -15,7 +15,7 @@ use dvs_bench::{
     run_compose_resilient, run_fleet_resilient, run_suite_resilient, tiny_suite, CheckpointConfig,
     ExecFaults, FleetEngine, ResilienceConfig, SweepMode,
 };
-use dvs_metrics::{PartialAccounting, QuarantineReport};
+use dvs_metrics::PartialAccounting;
 use dvs_sim::DvsError;
 use dvs_workload::FleetSpec;
 
@@ -40,27 +40,8 @@ fn quarantine_report_matches_golden() {
     };
     let out = tiny_run(&cfg, 1).expect("sweep completes despite the panicking cell");
     assert!(out.degraded());
-    check_against(
-        &golden_dir().join("quarantine_tiny.json"),
-        &out.report.quarantine,
-        |actual: &QuarantineReport, golden: &QuarantineReport| {
-            if actual == golden {
-                return Vec::new();
-            }
-            let mut diffs = vec![format!(
-                "quarantine list diverged: {} entries vs golden {}",
-                actual.len(),
-                golden.len()
-            )];
-            for (a, g) in actual.entries.iter().zip(&golden.entries) {
-                if a != g {
-                    diffs.push(format!("actual {a:?} vs golden {g:?}"));
-                }
-            }
-            diffs
-        },
-    )
-    .unwrap();
+    check_against(&golden_dir().join("quarantine_tiny.json"), &out.report.quarantine)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The quarantine outcome is identical at any worker count: same entries,
@@ -248,9 +229,19 @@ fn exit_code_one_on_hard_errors() {
         assert!(stderr.contains(unknown), "{args:?}: {stderr}");
     }
 
-    // `bench` is no subcommand, and no artefact either.
-    let out = repro(&["bench"]);
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    // `bench` is no subcommand, and no artefact either. A word that names
+    // nothing fails before any artefact runs, even when a valid one follows.
+    for (args, unknown) in [
+        (&["bench"][..], "`bench`"),
+        (&["bench", "trace"][..], "`bench`"),
+        (&["bogus", "--fig", "5"][..], "`bogus`"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(unknown), "{args:?}: {stderr}");
+    }
 
     let dir = temp_dir("exit1");
     let ck = dir.join("ck");

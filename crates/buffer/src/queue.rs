@@ -158,7 +158,7 @@ impl BufferQueue {
             return Err(DvsError::BufferCapacityTooSmall { got: capacity, min: 2 });
         }
         Ok(BufferQueue {
-            // dvs-lint: allow(hot-alloc, reason = "queue construction happens once per surface at setup, before the hot loop")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "queue construction happens once per surface at setup, before the hot loop")
             slots: vec![SlotState::Free; capacity],
             fifo: VecDeque::with_capacity(capacity),
             front: None,

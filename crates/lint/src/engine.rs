@@ -134,15 +134,6 @@ pub struct WorkspaceCheck {
 /// through a reviewed file edit, not a source comment.
 const UNWAIVABLE: [&str; 4] = ["waiver-syntax", "unused-waiver", "stale-manifest", "schema-lock"];
 
-/// Whether a waiver armed for `armed` suppresses a finding of `found`.
-///
-/// `hot-alloc` aliases its transitive upgrade: a site already waived under
-/// DVS-H001 carries the same reviewed reason when DVS-H002 reaches it
-/// through the call graph, so the one pragma covers both.
-fn waiver_covers(armed: &str, found: &str) -> bool {
-    armed == found || (armed == "hot-alloc" && found == "hot-alloc-transitive")
-}
-
 /// Analyzes the workspace rooted at `root`, loading `<root>/lint.toml`.
 ///
 /// Honours `REGEN_GOLDEN=1`: when set and the manifest enables the
@@ -153,12 +144,8 @@ pub fn analyze_workspace(root: &Path) -> LintResult<Analysis> {
     // Validate the manifest's file lists against the tree: a scoped file
     // that no longer exists means the guarantee silently lapsed — fail
     // loudly instead.
-    for rel in manifest
-        .hot_paths
-        .iter()
-        .chain(&manifest.index_strict)
-        .chain(&manifest.unsafe_allowed)
-        .chain(&manifest.panic_files)
+    for rel in
+        manifest.index_strict.iter().chain(&manifest.unsafe_allowed).chain(&manifest.panic_files)
     {
         if !root.join(rel).is_file() {
             return Err(LintError::ManifestInvalid(format!(
@@ -240,7 +227,6 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> LintResult<()> 
 pub fn scope_for(rel: &str, manifest: &Manifest) -> FileScope {
     FileScope {
         sim: manifest.is_sim_crate_path(rel),
-        hot: manifest.is_hot_path(rel),
         index_strict: manifest.is_index_strict(rel),
         unsafe_ok: manifest.allows_unsafe(rel),
         all_test: false,
@@ -454,7 +440,7 @@ fn apply_waivers(unit: &Unit, raw: Vec<RawFinding>) -> (Vec<Finding>, Vec<Findin
     for f in raw {
         let RawFinding { rule, line, col, matched, message } = f;
         let waived = armed.iter_mut().find(|a| {
-            waiver_covers(a.rule.name, rule.name)
+            a.rule == rule
                 && match a.scope {
                     WaiverScope::File => true,
                     WaiverScope::Line => a.target == Some(line),
@@ -509,7 +495,7 @@ mod tests {
 
     fn manifest() -> Manifest {
         Manifest::parse(
-            "[determinism]\nsim_crates = [\"sim\"]\n[hot]\npaths = [\"crates/sim/src/hot.rs\"]\nindex_strict = []\n[unsafe_code]\nallowed = []\n",
+            "[determinism]\nsim_crates = [\"sim\"]\n[hot]\nindex_strict = []\n[unsafe_code]\nallowed = []\n",
         )
         .unwrap()
     }
@@ -558,10 +544,13 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_waiver_is_reported() {
-        let src = "// dvs-lint: allow(no-such-rule, reason = \"x\")\nfn f() {}\n";
-        let a = check_source("crates/sim/src/lib.rs", src, &manifest());
-        assert_eq!(a.findings.len(), 1);
-        assert_eq!(a.findings[0].rule_id, "DVS-W001");
+        // `hot-alloc` is the retired DVS-H001's name: no rule answers to it.
+        for name in ["no-such-rule", "hot-alloc"] {
+            let src = format!("// dvs-lint: allow({name}, reason = \"x\")\nfn f() {{}}\n");
+            let a = check_source("crates/sim/src/lib.rs", &src, &manifest());
+            assert_eq!(a.findings.len(), 1, "{name}");
+            assert_eq!(a.findings[0].rule_id, "DVS-W001", "{name}");
+        }
     }
 
     #[test]
@@ -591,24 +580,6 @@ mod tests {
             assert_eq!(a.findings[0].rule_id, "DVS-W001");
             assert!(a.findings[0].message.contains("cannot be waived"));
         }
-    }
-
-    #[test]
-    fn hot_alloc_waiver_covers_transitive_upgrade() {
-        let m =
-            Manifest::parse("[determinism]\nsim_crates = []\n[hot]\nentry_points = [\"entry\"]\n")
-                .unwrap();
-        let src = "\
-fn entry() { helper(); }
-fn helper() {
-    let v = Vec::new(); // dvs-lint: allow(hot-alloc, reason = \"construction-time pool build\")
-    drop(v);
-}
-";
-        let a = check_source("crates/sim/src/lib.rs", src, &m);
-        assert!(a.findings.is_empty(), "{:?}", a.findings);
-        assert_eq!(a.waivers_honoured, 1);
-        assert!(a.advisories.is_empty(), "{:?}", a.advisories);
     }
 
     #[test]

@@ -10,10 +10,6 @@
 //!
 //! * **Determinism** — wall-clock reads, OS entropy, and hash-ordered
 //!   containers in the simulation crates (`DVS-D001`–`DVS-D003`).
-//! * **Hot-path allocation** — allocating calls inside modules declared
-//!   hot by the checked-in `lint.toml` manifest (`DVS-H001`), the static
-//!   mirror of the per-cell byte ceiling in
-//!   `crates/bench/tests/fleet_allocs.rs`.
 //! * **Panic hygiene** — `unwrap`/`expect`/`panic!` and (in index-strict
 //!   modules) slice indexing where `DvsError` paths exist
 //!   (`DVS-P001`/`DVS-P002`).
@@ -28,8 +24,10 @@
 //! ([`passes`]):
 //!
 //! * **Transitive hot-path allocation** (`DVS-H002`) — allocation anywhere
-//!   in the reachability closure of the manifest's `[hot] entry_points`,
-//!   catching helpers that DVS-H001's file list never saw.
+//!   in the reachability closure of the checked-in `lint.toml` manifest's
+//!   `[hot] entry_points`, whichever file the code lives in: the static
+//!   mirror of the per-cell byte ceiling in
+//!   `crates/bench/tests/fleet_allocs.rs`.
 //! * **Panic-domain escape** (`DVS-P003`) — panic/index sites in the
 //!   resilient-sweep files that are *not* contained by a `catch_unwind`
 //!   cell boundary, so one bad cell could kill the whole sweep.

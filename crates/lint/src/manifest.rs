@@ -25,9 +25,6 @@ pub struct Manifest {
     /// Crates under the determinism contract (`wall-clock`, `entropy`,
     /// `hash-iter`, `panic`, `discard`, `float-accum` rules).
     pub sim_crates: Vec<String>,
-    /// Legacy per-file hot scope (`hot-alloc`); superseded by
-    /// `hot_entry_points` but still honoured for targeted files.
-    pub hot_paths: Vec<String>,
     /// Functions rooting the transitive hot-path closure
     /// (`hot-alloc-transitive`): bare names or `Type::method`.
     pub hot_entry_points: Vec<String>,
@@ -107,7 +104,6 @@ impl Manifest {
                 m.key_lines.insert(format!("{section}.{key}"), line_no);
                 match (section.as_str(), key.as_str()) {
                     ("determinism", "sim_crates") => m.sim_crates = items,
-                    ("hot", "paths") => m.hot_paths = items,
                     ("hot", "entry_points") => m.hot_entry_points = items,
                     ("hot", "index_strict") => m.index_strict = items,
                     ("panic_domains", "files") => m.panic_files = items,
@@ -153,11 +149,6 @@ impl Manifest {
                 .and_then(|r| r.strip_prefix(c.as_str()))
                 .is_some_and(|r| r.starts_with('/'))
         })
-    }
-
-    /// Whether a workspace-relative path is a declared (legacy) hot path.
-    pub fn is_hot_path(&self, rel: &str) -> bool {
-        self.hot_paths.iter().any(|p| p == rel)
     }
 
     /// Whether a workspace-relative path is under the slice-index rule.
@@ -229,11 +220,10 @@ mod tests {
 sim_crates = ["sim", "pipeline"]
 
 [hot]
-paths = [
-    "crates/sim/src/event.rs",   # the event heap
-    "crates/pipeline/src/core/mod.rs",
+entry_points = [
+    "run_batch",   # the batch kernel
+    "EventQueue::schedule",
 ]
-entry_points = ["run_batch", "EventQueue::schedule"]
 index_strict = ["crates/sim/src/event.rs"]
 
 [panic_domains]
@@ -252,7 +242,6 @@ allowed = ["crates/bench/src/bin/repro.rs"]
     fn parses_sections_arrays_and_comments() {
         let m = Manifest::parse(SAMPLE).unwrap();
         assert_eq!(m.sim_crates, ["sim", "pipeline"]);
-        assert_eq!(m.hot_paths.len(), 2);
         assert_eq!(m.hot_entry_points, ["run_batch", "EventQueue::schedule"]);
         assert_eq!(m.index_strict, ["crates/sim/src/event.rs"]);
         assert_eq!(m.panic_files, ["crates/bench/src/resilient.rs"]);
@@ -265,8 +254,8 @@ allowed = ["crates/bench/src/bin/repro.rs"]
     #[test]
     fn key_lines_point_back_into_the_manifest() {
         let m = Manifest::parse(SAMPLE).unwrap();
-        assert_eq!(m.line_of("hot.entry_points"), 11);
-        assert_eq!(m.line_of("schema.structs"), 20);
+        assert_eq!(m.line_of("hot.entry_points"), 7);
+        assert_eq!(m.line_of("schema.structs"), 19);
         assert_eq!(m.line_of("no.such_key"), 1);
     }
 
@@ -277,8 +266,6 @@ allowed = ["crates/bench/src/bin/repro.rs"]
         assert!(m.is_sim_crate_path("crates/pipeline/src/core/mod.rs"));
         assert!(!m.is_sim_crate_path("crates/simulator/src/lib.rs")); // prefix, not match
         assert!(!m.is_sim_crate_path("crates/bench/src/lib.rs"));
-        assert!(m.is_hot_path("crates/sim/src/event.rs"));
-        assert!(!m.is_hot_path("crates/sim/src/lib.rs"));
         assert!(m.is_panic_domain("crates/bench/src/resilient.rs"));
         assert!(!m.is_panic_domain("crates/bench/src/sweep.rs"));
     }
@@ -288,15 +275,18 @@ allowed = ["crates/bench/src/bin/repro.rs"]
         let err = Manifest::parse("[determinism]\nsim_crate = [\"x\"]\n").unwrap_err();
         assert!(matches!(err, LintError::ManifestInvalid(_)), "{err}");
         assert!(Manifest::parse("[typo]\nsim_crates = [\"x\"]\n").is_err());
+        // The retired file-scoped hot list is an unknown key, not a no-op.
+        let err = Manifest::parse("[hot]\npaths = [\"crates/sim/src/event.rs\"]\n").unwrap_err();
+        assert!(matches!(err, LintError::ManifestInvalid(_)), "{err}");
         let err = Manifest::parse("orphan = \"x\"\n").unwrap_err();
         assert!(matches!(err, LintError::ManifestParse { line: 1, .. }), "{err}");
     }
 
     #[test]
     fn garbled_values_carry_the_line() {
-        let err = Manifest::parse("[hot]\npaths = [\n  \"a\"\n").unwrap_err();
+        let err = Manifest::parse("[hot]\nentry_points = [\n  \"a\"\n").unwrap_err();
         assert!(matches!(err, LintError::ManifestParse { line: 2, .. }), "{err}");
-        let err = Manifest::parse("[hot]\npaths = 42\n").unwrap_err();
+        let err = Manifest::parse("[hot]\nentry_points = 42\n").unwrap_err();
         assert!(matches!(err, LintError::ManifestParse { line: 2, .. }), "{err}");
         let err = Manifest::parse("[schema]\nlock = [\"a\", \"b\"]\n").unwrap_err();
         assert!(matches!(err, LintError::ManifestParse { line: 2, .. }), "{err}");

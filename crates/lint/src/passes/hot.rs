@@ -1,13 +1,12 @@
 //! DVS-H002 `hot-alloc-transitive`: allocation anywhere in the closure of
 //! the manifest's `[hot] entry_points`.
 //!
-//! The legacy DVS-H001 rule checks exactly the files listed in `[hot]
-//! paths` — a helper moved into an unlisted file silently leaves the
-//! guarantee. This pass instead roots at the declared hot *functions*
-//! (`run_batch`, the event-heap dispatch, sketch `observe`/`merge`, codec
-//! block encode/decode, the resilient worker loop), takes the conservative
-//! reachability closure over the call graph, and scans every function body
-//! in the closure for allocating calls. Entry points that no longer
+//! A list of hot *files* would let a helper moved into an unlisted file
+//! silently leave the guarantee. This pass instead roots at the declared
+//! hot *functions* (`run_batch`, the event-heap dispatch, sketch
+//! `observe`/`merge`, codec block encode/decode, the resilient worker
+//! loop), takes the conservative reachability closure over the call graph,
+//! and scans every function body in the closure for allocating calls. Entry points that no longer
 //! resolve to any function are reported as DVS-M001 — a stale manifest is
 //! a lapsed guarantee, not a clean run.
 

@@ -10,7 +10,6 @@
 //! | DVS-D001 | `wall-clock` | sim crates                | `Instant::now` / `SystemTime` / `Utc::now` / `Local::now` — wall-clock reads leak real time into simulated time |
 //! | DVS-D002 | `entropy`    | sim crates                | `thread_rng` / `OsRng` / `from_entropy` / `getrandom` / `rand::random` / `RandomState` — OS entropy breaks replay |
 //! | DVS-D003 | `hash-iter`  | sim crates                | `HashMap` / `HashSet` — iteration order varies per process, so any traversal is a nondeterminism hazard |
-//! | DVS-H001 | `hot-alloc`  | manifest `[hot] paths`    | `Vec::new` / `vec!` / `format!` / `.to_string()` / `Box::new` / `.clone()` — allocation on the event hot path |
 //! | DVS-P001 | `panic`      | sim crates                | `.unwrap()` / `.expect(` / `panic!` — panic where `DvsError` paths exist |
 //! | DVS-P002 | `index`      | manifest `[hot] index_strict` | `x[i]` slice indexing — a hidden panic branch on the hot path |
 //! | DVS-R001 | `discard`    | sim crates                | `let _ = call(…)` — silently discarding a fallible result |
@@ -24,7 +23,7 @@
 //! | ID       | name                  | scope | hazard |
 //! |----------|-----------------------|-------|--------|
 //! | DVS-F001 | `float-accum`         | sim-crate merge/reduce fns | order-sensitive `f32`/`f64` accumulation |
-//! | DVS-H002 | `hot-alloc-transitive`| closure of `[hot] entry_points` | allocation anywhere reachable from a hot entry |
+//! | DVS-H002 | `hot-alloc-transitive`| closure of `[hot] entry_points` | `Vec::new` / `vec!` / `format!` / `.to_string()` / `Box::new` / `.clone()` anywhere reachable from a hot entry |
 //! | DVS-M001 | `stale-manifest`      | `lint.toml` | manifest entries that resolve to nothing (not waivable) |
 //! | DVS-P003 | `panic-escape`        | `[panic_domains] files` | panic/index site reachable outside every `catch_unwind` |
 //! | DVS-S001 | `schema-lock`         | `[schema] structs` | serialized-struct drift vs the lock file (not waivable) |
@@ -60,7 +59,6 @@ pub const RULES: &[Rule] = &[
         name: "float-accum",
         summary: "order-sensitive float accumulation in a merge/reduce path",
     },
-    Rule { id: "DVS-H001", name: "hot-alloc", summary: "allocation in a declared hot path" },
     Rule {
         id: "DVS-H002",
         name: "hot-alloc-transitive",
@@ -119,8 +117,6 @@ pub fn by_id(id: &str) -> Option<&'static Rule> {
 pub struct FileScope {
     /// Under the determinism contract (D/P/R rules).
     pub sim: bool,
-    /// A declared allocation-free hot path (H001).
-    pub hot: bool,
     /// Under the slice-indexing rule (P002).
     pub index_strict: bool,
     /// Allowed to contain `unsafe` (suppresses U001).
@@ -162,9 +158,6 @@ pub fn check_file(src: &str, scope: FileScope) -> Vec<RawFinding> {
             determinism_rules(src, &ts, i, t, &mut out);
             panic_rules(src, &ts, i, t, &mut out);
             discard_rule(src, &ts, i, t, &mut out);
-        }
-        if scope.hot {
-            hot_alloc_rule(src, &ts, i, t, &mut out);
         }
         if scope.index_strict {
             index_rule(src, toks, i, t, &mut out);
@@ -331,8 +324,8 @@ fn followed_by(ts: &TokenStream, i: usize, b: u8) -> bool {
     ts.toks().get(i + 1).is_some_and(|t| t.kind == TokKind::Punct(b))
 }
 
-/// Matches an allocating call at token `i`. Shared between DVS-H001
-/// (per-file hot paths) and DVS-H002 (transitive hot-closure pass).
+/// Matches an allocating call at token `i` (the DVS-H002 hazard, scanned
+/// over the hot closure by [`crate::passes::hot`]).
 pub(crate) fn alloc_site_at(src: &str, ts: &TokenStream, i: usize) -> Option<&'static str> {
     let t = ts.toks().get(i)?;
     if t.kind != TokKind::Ident {
@@ -363,21 +356,6 @@ pub(crate) fn alloc_site_at(src: &str, ts: &TokenStream, i: usize) -> Option<&'s
         "clone" if preceded_by_dot(ts, i) && followed_by(ts, i, b'(') => Some(".clone()"),
         _ => None,
     }
-}
-
-/// DVS-H001: allocation calls in hot paths.
-fn hot_alloc_rule(src: &str, ts: &TokenStream, i: usize, t: &Tok, out: &mut Vec<RawFinding>) {
-    let Some(matched) = alloc_site_at(src, ts, i) else { return };
-    let usually = if matched == ".clone()" { "usually " } else { "" };
-    out.push(finding(
-        "hot-alloc",
-        t,
-        matched,
-        format!(
-            "`{matched}` {usually}allocates; hot paths must reuse pooled storage (see `RunArena`), \
-             or waive with a reason explaining why the allocation is construction-time only"
-        ),
-    ));
 }
 
 /// DVS-P002: slice indexing `x[i]` — a `[` token *directly adjacent* to a
@@ -594,12 +572,15 @@ mod tests {
     }
 
     #[test]
-    fn hot_alloc_only_in_hot_scope() {
-        let src = "fn f() { let v = Vec::new(); let s = x.to_string(); let b = Box::new(1); let c = y.clone(); let m = format!(\"x\"); let w = vec![1]; }";
-        assert!(check_file(src, FileScope { unsafe_ok: true, ..Default::default() }).is_empty());
-        let hot = check_file(src, FileScope { hot: true, unsafe_ok: true, ..Default::default() });
-        assert_eq!(hot.len(), 6);
-        assert!(hot.iter().all(|f| f.rule.id == "DVS-H001"));
+    fn alloc_sites_match_every_allocating_form() {
+        let src = "fn f() { let v = Vec::new(); let s = x.to_string(); let b = Box::new(1); let c = y.clone(); let m = format!(\"x\"); let w = vec![1]; let n = Vec::len(&v); }";
+        let ts = tokens::lex(src);
+        let found: Vec<&str> =
+            (0..ts.toks().len()).filter_map(|i| alloc_site_at(src, &ts, i)).collect();
+        assert_eq!(found, ["Vec::new", ".to_string()", "Box::new", ".clone()", "format!", "vec!"]);
+        // No per-file rule looks for allocation.
+        assert!(check_file(src, FileScope { sim: true, unsafe_ok: true, ..Default::default() })
+            .is_empty());
     }
 
     #[test]
@@ -644,6 +625,8 @@ mod tests {
             }
         }
         assert_eq!(by_name("hash-iter").unwrap().id, "DVS-D003");
-        assert_eq!(by_id("DVS-H001").unwrap().name, "hot-alloc");
+        assert_eq!(by_id("DVS-H002").unwrap().name, "hot-alloc-transitive");
+        // Retired IDs are never reused.
+        assert!(by_id("DVS-H001").is_none());
     }
 }

@@ -1,5 +1,5 @@
 //! The fixture dispatch loop. Allocation-free itself; its helper was
-//! extracted into `util.rs`, which the old `[hot] paths` list never named.
+//! extracted into `util.rs`, which no manifest entry names.
 
 /// Hot entry: pumps `n` items through the extracted helper.
 pub fn pump(n: usize) -> usize {

@@ -1,7 +1,7 @@
-//! The helper extracted out of the listed hot file: a file-scoped scan of
-//! `lib.rs` sees nothing, yet every `pump` call allocates here.
+//! The helper the hot entry calls from another file: a scan of `lib.rs`
+//! alone sees nothing, yet every `pump` call allocates here.
 
-/// Builds a scratch buffer per call — the allocation DVS-H001 cannot see.
+/// Builds a scratch buffer per call — an allocation outside the entry's file.
 pub fn helper(i: usize) -> usize {
     let mut scratch = Vec::new();
     scratch.push(i);

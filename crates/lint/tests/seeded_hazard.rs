@@ -12,7 +12,6 @@ const MANIFEST: &str = concat!(
     "[determinism]\n",
     "sim_crates = [\"sim\"]\n",
     "[hot]\n",
-    "paths = []\n",
     "index_strict = []\n",
     "[unsafe_code]\n",
     "allowed = []\n",
@@ -101,8 +100,7 @@ fn manifest_naming_a_missing_hot_path_is_an_error() {
             "[determinism]\n",
             "sim_crates = [\"sim\"]\n",
             "[hot]\n",
-            "paths = [\"crates/sim/src/gone.rs\"]\n",
-            "index_strict = []\n",
+            "index_strict = [\"crates/sim/src/gone.rs\"]\n",
             "[unsafe_code]\n",
             "allowed = []\n",
         ),

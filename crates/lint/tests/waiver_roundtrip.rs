@@ -10,7 +10,7 @@ const RULE_NAMES: &[&str] = &[
     "wall-clock",
     "entropy",
     "hash-iter",
-    "hot-alloc",
+    "hot-alloc-transitive",
     "panic",
     "index",
     "discard",

@@ -142,7 +142,7 @@ impl QuantileGrid {
             || self.hi.to_bits() != other.hi.to_bits()
             || self.counts.len() != other.counts.len()
         {
-            // dvs-lint: allow(hot-alloc, reason = "error construction on the cold shape-mismatch path only")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "error construction on the cold shape-mismatch path only")
             return Err(DvsError::InvalidConfig(format!(
                 "cannot merge quantile grids with different shapes: \
                  [{}, {}]x{} vs [{}, {}]x{}",

@@ -46,6 +46,6 @@ pub use sketch::{
     FleetSketch, MetricSketch, SketchStats, ENERGY_GRID_BINS, ENERGY_GRID_HI_MJ, FDPS_GRID_BINS,
     FDPS_GRID_HI, SKETCH_SUM_SCALE,
 };
-pub use stats::{Cdf, Histogram, Summary};
+pub use stats::{Cdf, Summary};
 pub use stutter::{StutterModel, StutterReport};
 pub use timeline::{render_timeline, TimelineStyle};

@@ -266,16 +266,16 @@ impl RunReport {
         RunReport {
             name: name.into(),
             rate_hz,
-            // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "arena construction happens once per worker; runs reuse these buffers")
             records: Vec::new(),
-            // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "arena construction happens once per worker; runs reuse these buffers")
             janks: Vec::new(),
             display_time: SimDuration::ZERO,
             ticks_active: 0,
             max_queued: 0,
-            // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "arena construction happens once per worker; runs reuse these buffers")
             fault_events: Vec::new(),
-            // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "arena construction happens once per worker; runs reuse these buffers")
             mode_transitions: Vec::new(),
             truncated: false,
         }

@@ -1,4 +1,4 @@
-//! Summary statistics, CDFs, and histograms used by the figure harness.
+//! Summary statistics and CDFs used by the figure harness.
 
 use serde::{Deserialize, Serialize};
 
@@ -171,63 +171,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-width histogram.
-///
-/// # Examples
-///
-/// ```
-/// use dvs_metrics::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.add(1.0);
-/// h.add(9.5);
-/// h.add(42.0); // clamps into the last bin
-/// assert_eq!(h.counts()[0], 1);
-/// assert_eq!(h.counts()[4], 2);
-/// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "empty histogram range");
-        Histogram { lo, hi, counts: vec![0; bins] }
-    }
-
-    /// Adds a sample, clamping out-of-range values into the edge bins.
-    pub fn add(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let t = ((x - self.lo) / (self.hi - self.lo) * bins as f64).floor();
-        let idx = (t.max(0.0) as usize).min(bins - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// The per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total samples added.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,28 +260,5 @@ mod tests {
         let series = cdf.series(&[1.5, 2.5]);
         assert_eq!(series.len(), 2);
         assert!((series[0].1 - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_totals() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        for i in 0..100 {
-            h.add(i as f64 / 100.0);
-        }
-        assert_eq!(h.total(), 100);
-        assert!(h.counts().iter().all(|&c| c == 10));
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn zero_bins_panics() {
-        Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -347,7 +347,7 @@ pub(crate) fn execute<'a>(
             // allocated on purpose: keeping its structure independent of
             // the pooled buffers means arena-reuse bugs cannot hide in both
             // engines at once.
-            // dvs-lint: allow(hot-alloc, reason = "reference-engine setup, once per run; the oracle trades speed for auditability")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "reference-engine setup, once per run; the oracle trades speed for auditability")
             let panel_faults = panel_schedule.clone();
             let scheduled: Vec<_> = inputs
                 .into_iter()

@@ -218,10 +218,10 @@ impl RunArena {
     /// An empty arena; buffers grow to each run's working set on first use.
     pub fn new() -> Self {
         RunArena {
-            // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "arena construction happens once per worker; runs reuse these buffers")
             frames: Vec::new(),
             rs_pending: VecDeque::new(),
-            // dvs-lint: allow(hot-alloc, reason = "arena construction happens once per worker; runs reuse these buffers")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "arena construction happens once per worker; runs reuse these buffers")
             rs_finished: Vec::new(),
             heap: EventQueue::new(),
             faults: CompiledFaults::default(),

@@ -54,7 +54,7 @@ pub(crate) struct PollingDispatcher<E> {
 impl<E: Copy> PollingDispatcher<E> {
     pub(crate) fn new() -> Self {
         PollingDispatcher {
-            // dvs-lint: allow(hot-alloc, reason = "dispatcher construction happens once per run, before the frame loop")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "dispatcher construction happens once per run, before the frame loop")
             pending: Vec::new(),
             next_seq: 0,
             clock: SimTime::from_nanos(0),

@@ -75,7 +75,7 @@ pub trait FramePacer {
     /// one. Called once by the simulator when assembling the run report;
     /// pacers without a degradation path return an empty log.
     fn take_transitions(&mut self) -> Vec<ModeTransition> {
-        // dvs-lint: allow(hot-alloc, reason = "Vec::new is const and allocation-free: the empty value handed back by mem::take")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "Vec::new is const and allocation-free: the empty value handed back by mem::take")
         Vec::new()
     }
 

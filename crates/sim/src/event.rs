@@ -53,7 +53,7 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        // dvs-lint: allow(hot-alloc, reason = "empty Vec::new is allocation-free; hot callers pre-size via with_capacity/reserve")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "empty Vec::new is allocation-free; hot callers pre-size via with_capacity/reserve")
         EventQueue { run: Vec::new(), scheduled: 0 }
     }
 

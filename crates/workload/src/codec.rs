@@ -148,17 +148,17 @@ fn varint_len(mut v: u64) -> usize {
 // ---- error helpers ---------------------------------------------------------
 
 fn io_err(label: &str, op: &'static str, e: &io::Error) -> TraceError {
-    // dvs-lint: allow(hot-alloc, reason = "cold error path: formats context once on failure")
+    // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: formats context once on failure")
     TraceError::Io { path: label.to_string(), op, detail: e.to_string() }
 }
 
 fn format_err(label: &str, detail: String) -> TraceError {
-    // dvs-lint: allow(hot-alloc, reason = "cold error path: formats context once on failure")
+    // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: formats context once on failure")
     TraceError::Format { path: label.to_string(), detail }
 }
 
 fn corrupt_err(label: &str, detail: String) -> TraceError {
-    // dvs-lint: allow(hot-alloc, reason = "cold error path: formats context once on failure")
+    // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: formats context once on failure")
     TraceError::Corrupt { path: label.to_string(), detail }
 }
 
@@ -179,7 +179,7 @@ impl<'a> Cursor<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len()).ok_or_else(|| {
-            // dvs-lint: allow(hot-alloc, reason = "cold error path: truncated payload")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: truncated payload")
             format_err(self.label, format!("payload truncated at byte {}", self.pos))
         })?;
         let slice = &self.buf[self.pos..end];
@@ -199,7 +199,7 @@ impl<'a> Cursor<'a> {
             if shift >= 63 && b > 1 {
                 return Err(format_err(
                     self.label,
-                    // dvs-lint: allow(hot-alloc, reason = "cold error path: overlong varint")
+                    // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: overlong varint")
                     format!("varint overflow at byte {}", self.pos),
                 ));
             }
@@ -644,7 +644,7 @@ fn decode_spill(cur: &mut Cursor<'_>, count: usize, values: &mut [u64]) -> Resul
     let reference = cur.varint()?;
     let width = cur.u8()? as u32;
     if width > 64 {
-        // dvs-lint: allow(hot-alloc, reason = "cold error path: invalid width byte")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: invalid width byte")
         return Err(format_err(cur.label, format!("packed width {width} exceeds 64 bits")));
     }
     let k = width.min(TOP_BITS);
@@ -655,7 +655,7 @@ fn decode_spill(cur: &mut Cursor<'_>, count: usize, values: &mut [u64]) -> Resul
     if exceptions > count {
         return Err(format_err(
             cur.label,
-            // dvs-lint: allow(hot-alloc, reason = "cold error path: invalid exception count")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: invalid exception count")
             format!("{exceptions} exception patches for {count} values"),
         ));
     }
@@ -663,11 +663,11 @@ fn decode_spill(cur: &mut Cursor<'_>, count: usize, values: &mut [u64]) -> Resul
     for _ in 0..exceptions {
         let index = cur.varint()? as usize;
         if index >= count {
-            // dvs-lint: allow(hot-alloc, reason = "cold error path: exception index out of range")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: exception index out of range")
             return Err(format_err(cur.label, format!("exception index {index} out of range")));
         }
         if patched[index / 64] & (1 << (index % 64)) != 0 {
-            // dvs-lint: allow(hot-alloc, reason = "cold error path: duplicate exception index")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: duplicate exception index")
             return Err(format_err(cur.label, format!("duplicate exception index {index}")));
         }
         patched[index / 64] |= 1 << (index % 64);
@@ -817,7 +817,7 @@ fn decode_group(cur: &mut Cursor<'_>, count: usize, values: &mut [u64]) -> Resul
     let reference = cur.varint()?;
     let width = cur.u8()? as u32;
     if width > 64 {
-        // dvs-lint: allow(hot-alloc, reason = "cold error path: invalid width byte")
+        // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: invalid width byte")
         return Err(format_err(cur.label, format!("packed width {width} exceeds 64 bits")));
     }
 
@@ -826,7 +826,7 @@ fn decode_group(cur: &mut Cursor<'_>, count: usize, values: &mut [u64]) -> Resul
         if exceptions > count {
             return Err(format_err(
                 cur.label,
-                // dvs-lint: allow(hot-alloc, reason = "cold error path: invalid exception count")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: invalid exception count")
                 format!("{exceptions} exception patches for {count} values"),
             ));
         }
@@ -834,11 +834,11 @@ fn decode_group(cur: &mut Cursor<'_>, count: usize, values: &mut [u64]) -> Resul
         for _ in 0..exceptions {
             let index = cur.varint()? as usize;
             if index >= count {
-                // dvs-lint: allow(hot-alloc, reason = "cold error path: exception index out of range")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: exception index out of range")
                 return Err(format_err(cur.label, format!("exception index {index} out of range")));
             }
             if patched[index / 64] & (1 << (index % 64)) != 0 {
-                // dvs-lint: allow(hot-alloc, reason = "cold error path: duplicate exception index")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: duplicate exception index")
                 return Err(format_err(cur.label, format!("duplicate exception index {index}")));
             }
             patched[index / 64] |= 1 << (index % 64);
@@ -930,7 +930,7 @@ fn decode_block(
     if !cur.done() {
         return Err(format_err(
             label,
-            // dvs-lint: allow(hot-alloc, reason = "cold error path: trailing payload bytes")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: trailing payload bytes")
             format!("{} trailing bytes after {count} frames", payload.len() - cur.pos),
         ));
     }
@@ -1224,7 +1224,7 @@ impl<R: Read> TraceReader<R> {
         if count > BLOCK_FRAMES {
             return Err(format_err(
                 &self.label,
-                // dvs-lint: allow(hot-alloc, reason = "cold error path: oversized block")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: oversized block")
                 format!("block claims {count} frames (max {BLOCK_FRAMES})"),
             ));
         }
@@ -1233,7 +1233,7 @@ impl<R: Read> TraceReader<R> {
         }
         let payload_len = u32::from_le_bytes(word) as usize;
         if payload_len > MAX_PAYLOAD {
-            // dvs-lint: allow(hot-alloc, reason = "cold error path: oversized payload length")
+            // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: oversized payload length")
             return Err(format_err(&self.label, format!("block payload of {payload_len} bytes")));
         }
         self.payload.clear();
@@ -1284,7 +1284,7 @@ impl<R: Read> TraceReader<R> {
         if total != self.total_read {
             return Err(corrupt_err(
                 &self.label,
-                // dvs-lint: allow(hot-alloc, reason = "cold error path: frame-count mismatch")
+                // dvs-lint: allow(hot-alloc-transitive, reason = "cold error path: frame-count mismatch")
                 format!("trailer counts {total} frames, decoded {}", self.total_read),
             ));
         }

@@ -204,9 +204,9 @@ fn shard_sketches_merge_to_the_same_bytes_in_any_order() {
     assert_eq!(merge(&interleaved), base, "shuffled merge order changed the bytes");
 }
 
-/// A checkpoint the lane-pool fleet runner wrote with `repro fleet --tiny
-/// --engine batched --shards 6 --jobs 1 --checkpoint <path>
-/// --inject-crash-cell 3`: killed after three of six shards. The engine
+/// A checkpoint killed after three of six shards. The lane-pool fleet
+/// runner wrote it; `repro fleet --tiny --shards 6 --jobs 1 --checkpoint
+/// <path> --inject-crash-cell 3` still writes the same bytes. The engine
 /// name and the shard sketches' bytes did not change when shards moved to
 /// one arena, so it still resumes, to the uninterrupted report.
 #[test]

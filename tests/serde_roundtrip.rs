@@ -98,15 +98,17 @@ fn suite_result_round_trips() {
 
 #[test]
 fn golden_file_schema_round_trips() {
-    use dvs_bench::golden::{compare_suite, GoldenSuite, Tolerance};
+    use dvs_bench::golden::GoldenSuite;
     use dvs_bench::run_suite;
     let specs =
         vec![ScenarioSpec::new("golden rt", 60, 300, CostProfile::scattered(1.5))
             .with_paper_fdps(1.5)];
     let summary = GoldenSuite::from(&run_suite("golden", &specs, 3, &[4]));
-    let back: GoldenSuite =
-        serde_json::from_str(&serde_json::to_string_pretty(&summary).unwrap()).unwrap();
-    assert!(compare_suite(&summary, &back, Tolerance::default()).is_empty());
+    let text = serde_json::to_string_pretty(&summary).unwrap();
+    let back: GoldenSuite = serde_json::from_str(&text).unwrap();
+    // Goldens compare byte for byte, so a parsed golden must re-serialize
+    // to the very bytes it was read from.
+    assert_eq!(serde_json::to_string_pretty(&back).unwrap(), text);
 }
 
 #[test]
