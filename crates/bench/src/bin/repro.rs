@@ -299,7 +299,7 @@ fn usage(jobs: &[Job]) -> String {
          usage: repro --all | [--fig N]... [--table N]... [--cost] [--power] [--chromium]\n\
          \x20      repro custom <scenario.json>   # run a ScenarioSpec under all configs\n\
          \x20      repro trace record --out <dir> [--tiny|--quick] [--fitted]\n\
-         \x20                 [--fleet [--devices N] [--frames N]]\n\
+         \x20                 [--fleet [--devices N] [--frames N]] [--jobs N]\n\
          \x20                 # record the benchmark corpora as compact binary traces\n\
          \x20                 # (docs/trace.md); --fitted records calibrated sweep traces,\n\
          \x20                 # --fleet records per-device traces for repro fleet\n\
@@ -411,6 +411,18 @@ const FLEET_FLAGS: &[Flag] = &[
 /// The flags `repro lint` accepts.
 const LINT_FLAGS: &[Flag] = &[("--check", false), ("--emit-json", true)];
 
+/// The flags `repro trace record` accepts.
+const TRACE_RECORD_FLAGS: &[Flag] = &[
+    ("--out", true),
+    ("--tiny", false),
+    ("--quick", false),
+    ("--fitted", false),
+    ("--fleet", false),
+    ("--devices", true),
+    ("--frames", true),
+    ("--jobs", true),
+];
+
 /// The flags a subcommand accepts after its token, for the subcommands that
 /// check their arguments.
 fn subcommand_flags(sub: &str) -> Option<&'static [&'static [Flag]]> {
@@ -419,6 +431,7 @@ fn subcommand_flags(sub: &str) -> Option<&'static [&'static [Flag]]> {
         "compose" => &[RESILIENCE_FLAGS],
         "fleet" => &[RESILIENCE_FLAGS, FLEET_FLAGS],
         "lint" => &[LINT_FLAGS],
+        "trace record" => &[TRACE_RECORD_FLAGS],
         _ => return None,
     })
 }
@@ -656,6 +669,7 @@ fn run_trace_tool(args: &[String]) -> DvsResult<String> {
     };
     match sub {
         "record" => {
+            apply_jobs_flag(args)?;
             let Some(dir) = flag_value(args, "--out") else {
                 return Err(DvsError::InvalidConfig("trace record needs --out <dir>".into()));
             };
@@ -747,8 +761,29 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         let a = args[i].trim_start_matches('-').to_lowercase();
-        if let Some(flags) = subcommand_flags(&a) {
-            if let Err(e) = check_args(&a, &args[i + 1..], flags) {
+        // `repro trace` alone stays the Chrome trace-event artefact; a
+        // subcommand word selects the binary trace tooling.
+        let tool = args
+            .get(i + 1)
+            .filter(|t| a == "trace" && matches!(t.as_str(), "record" | "info" | "convert"));
+        let (sub, rest) = match tool {
+            Some(t) => (format!("trace {t}"), &args[i + 2..]),
+            None => (a.clone(), &args[i + 1..]),
+        };
+        let subcommand = tool.is_some()
+            || matches!(a.as_str(), "sweep" | "compose" | "fleet" | "ingest" | "lint" | "custom");
+        // A subcommand runs alone, so artefacts named before it would never
+        // run: refuse the line before anything runs.
+        if subcommand && (all || !wanted.is_empty()) {
+            let named = if all { "--all".to_string() } else { wanted.join(", ") };
+            eprintln!(
+                "repro: `{sub}` runs alone; the artefacts named before it ({named}) would be \
+                 dropped, so run them separately (see repro --help)"
+            );
+            return ExitCode::FAILURE;
+        }
+        if let Some(flags) = subcommand_flags(&sub) {
+            if let Err(e) = check_args(&sub, rest, flags) {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
@@ -758,14 +793,7 @@ fn main() -> ExitCode {
             "sweep" => return exit_tristate(run_sweep(&args)),
             "compose" => return exit_tristate(run_compose(&args)),
             "fleet" => return exit_tristate(run_fleet(&args)),
-            // `repro trace` alone stays the Chrome trace-event artefact; a
-            // subcommand word selects the binary trace tooling.
-            "trace"
-                if matches!(
-                    args.get(i + 1).map(String::as_str),
-                    Some("record" | "info" | "convert")
-                ) =>
-            {
+            "trace" if tool.is_some() => {
                 return match run_trace_tool(&args) {
                     Ok(text) => {
                         print!("{text}");

@@ -4,7 +4,6 @@
 //! 20 of 75 (GLES) and 29 of 75 (Vulkan). The remaining cases hold full
 //! frame rate — the industrial acceptance criterion.
 
-use crate::suite::run_vsync;
 use crate::sweep::SweepEngine;
 use dvs_pipeline::calibrate_spec;
 use dvs_workload::{scenarios, Backend, ScenarioSpec};
@@ -48,12 +47,12 @@ fn full_suite(dropping: &[ScenarioSpec], rate_hz: u32, backend: Backend) -> Vec<
 fn census(platform: &str, dropping: &[ScenarioSpec], rate_hz: u32, backend: Backend) -> Census {
     let paper_with_drops = dropping.len();
     let suite = full_suite(dropping, rate_hz, backend);
-    // One sweep cell per case: calibrate + baseline run, folded in case
-    // order afterwards so the census is independent of worker scheduling.
+    // One sweep cell per case: calibrate, whose best measurement is the
+    // fitted spec's baseline run, folded in case order afterwards so the
+    // census is independent of worker scheduling.
     let per_case: Vec<(bool, f64)> = SweepEngine::with_default_jobs().run(suite.len(), |i| {
-        let fitted = calibrate_spec(&suite[i], 3).spec;
-        let report = run_vsync(&fitted, 3);
-        (!report.janks.is_empty(), report.fdps())
+        let baseline = calibrate_spec(&suite[i], 3).baseline;
+        (baseline.janks > 0, baseline.fdps())
     });
     let mut with_drops = 0usize;
     let mut fdps_sum = 0.0;

@@ -30,6 +30,7 @@ use dvs_workload::{
 use serde::Deserialize;
 
 use crate::fleet::fleet_trace_path;
+use crate::sweep::SweepEngine;
 
 /// Ensures `dir` exists, mapping the failure to a path-carrying error.
 fn ensure_dir(dir: &Path) -> DvsResult<()> {
@@ -45,27 +46,47 @@ fn ensure_dir(dir: &Path) -> DvsResult<()> {
 /// `baseline_buffers` and the trace calibration hands over is written —
 /// the form the sweep path replays; raw recordings serve [`TraceCache`]
 /// consumers (fault matrix, custom runs).
+///
+/// The specs record in parallel on [`SweepEngine::with_default_jobs`]
+/// (`repro … --jobs N` sets the count; `--jobs 1` is the engine's
+/// sequential path). Each worker calibrates through one reused
+/// [`RunArena`], holds one trace at a time and writes its file as soon as
+/// that spec is done, so memory stays one calibration per worker whatever
+/// the suite's size. The files and the summary are identical at every job
+/// count.
+///
+/// # Errors
+///
+/// Every spec is attempted, even after one fails; the error returned is
+/// the first in spec order.
 pub fn record_suite(
     specs: &[ScenarioSpec],
     dir: &Path,
     fitted: bool,
     baseline_buffers: usize,
 ) -> DvsResult<String> {
+    record_suite_on(SweepEngine::with_default_jobs(), specs, dir, fitted, baseline_buffers)
+}
+
+/// [`record_suite`] on an explicit engine.
+pub(crate) fn record_suite_on(
+    engine: SweepEngine,
+    specs: &[ScenarioSpec],
+    dir: &Path,
+    fitted: bool,
+    baseline_buffers: usize,
+) -> DvsResult<String> {
     ensure_dir(dir)?;
-    let mut arena = RunArena::new();
-    let mut bytes = 0u64;
-    let mut frames = 0u64;
-    for spec in specs {
+    let items = engine.run_with(specs.len(), RunArena::new, |arena, i| {
+        let spec = &specs[i];
         let trace = if fitted {
-            calibrate_spec_pooled(spec, baseline_buffers, &mut arena).trace
+            calibrate_spec_pooled(spec, baseline_buffers, arena).trace
         } else {
             spec.generate()
         };
-        let path = TraceCache::trace_path(dir, spec);
-        trace.save_binary(&path)?;
-        bytes += file_len(&path)?;
-        frames += trace.len() as u64;
-    }
+        save(&trace, &TraceCache::trace_path(dir, spec))
+    });
+    let (bytes, frames) = sum_in_order(items)?;
     Ok(format!(
         "recorded {} {} traces under {} — {} frames, {} bytes ({:.2} B/frame)\n",
         specs.len(),
@@ -80,17 +101,40 @@ pub fn record_suite(
 /// Records one binary trace per device of `spec` under `dir`
 /// ([`fleet_trace_path`] names). Intended for the small CI fleets — the
 /// file count is linear in the population.
+///
+/// Devices record in parallel on [`SweepEngine::with_default_jobs`], as
+/// [`record_suite`] does: each worker generates into one reused trace and
+/// writes each device's file before taking the next. The files and the
+/// summary are identical at every job count.
+///
+/// # Errors
+///
+/// Every device is attempted, even after one fails; the error returned is
+/// the first in device order.
 pub fn record_fleet(spec: &FleetSpec, dir: &Path) -> DvsResult<String> {
+    record_fleet_on(SweepEngine::with_default_jobs(), spec, dir)
+}
+
+/// [`record_fleet`] on an explicit engine.
+pub(crate) fn record_fleet_on(
+    engine: SweepEngine,
+    spec: &FleetSpec,
+    dir: &Path,
+) -> DvsResult<String> {
     ensure_dir(dir)?;
-    let mut bytes = 0u64;
-    for i in 0..spec.devices {
+    let devices = usize::try_from(spec.devices).map_err(|_| {
+        DvsError::InvalidConfig(format!("{} devices do not fit this platform", spec.devices))
+    })?;
+    let pooled = || FrameTrace::new(String::new(), 0);
+    let items = engine.run_with(devices, pooled, |trace, i| {
+        let i = i as u64;
         let dev = spec.device(i).ok_or_else(|| {
             DvsError::InvalidConfig(format!("fleet spec has no device at index {i}"))
         })?;
-        let path = fleet_trace_path(dir, i);
-        dev.trace().save_binary(&path)?;
-        bytes += file_len(&path)?;
-    }
+        dev.trace_into(trace);
+        save(trace, &fleet_trace_path(dir, i))
+    });
+    let (bytes, _) = sum_in_order(items)?;
     Ok(format!(
         "recorded fleet '{}': {} devices x {} frames under {} — {} bytes\n",
         spec.name,
@@ -99,6 +143,21 @@ pub fn record_fleet(spec: &FleetSpec, dir: &Path) -> DvsResult<String> {
         dir.display(),
         bytes
     ))
+}
+
+/// Writes `trace` to `path` as a binary trace: its file size and frames.
+fn save(trace: &FrameTrace, path: &Path) -> DvsResult<(u64, u64)> {
+    trace.save_binary(path)?;
+    Ok((file_len(path)?, trace.len() as u64))
+}
+
+/// Sums per-item `(bytes, frames)` in index order, returning the first
+/// failed item's error in that order.
+fn sum_in_order(items: Vec<DvsResult<(u64, u64)>>) -> DvsResult<(u64, u64)> {
+    items.into_iter().try_fold((0, 0), |(bytes, frames), item| {
+        let (b, f) = item?;
+        Ok((bytes + b, frames + f))
+    })
 }
 
 fn file_len(path: &Path) -> DvsResult<u64> {
@@ -428,6 +487,84 @@ mod tests {
             let loaded = FrameTrace::load_binary(TraceCache::trace_path(&dir, spec)).unwrap();
             assert_eq!(loaded, spec.generate());
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file under `dir`, by name.
+    fn files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                (
+                    path.file_name().unwrap().to_string_lossy().into_owned(),
+                    std::fs::read(path).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recordings_are_identical_at_every_job_count() {
+        let specs = crate::tiny_suite();
+        let fleet = FleetSpec::tiny(12, 24);
+        let record = |kind: &str, engine: SweepEngine, dir: &Path| match kind {
+            "raw" => record_suite_on(engine, &specs, dir, false, 3),
+            "fitted" => record_suite_on(engine, &specs, dir, true, 3),
+            _ => record_fleet_on(engine, &fleet, dir),
+        };
+        for (kind, count) in [("raw", specs.len()), ("fitted", specs.len()), ("fleet", 12)] {
+            let seq = tmp(&format!("{kind}-seq"));
+            let par = tmp(&format!("{kind}-par"));
+            let seq_text = record(kind, SweepEngine::sequential(), &seq).unwrap();
+            let par_text = record(kind, SweepEngine::new(4), &par).unwrap();
+            assert_eq!(
+                seq_text.replace(&seq.display().to_string(), "DIR"),
+                par_text.replace(&par.display().to_string(), "DIR"),
+                "{kind}"
+            );
+            let recorded = files(&seq);
+            assert_eq!(recorded.len(), count, "{kind}");
+            assert!(recorded == files(&par), "{kind}: files differ between job counts");
+            std::fs::remove_dir_all(&seq).ok();
+            std::fs::remove_dir_all(&par).ok();
+        }
+    }
+
+    /// Puts a directory where items 2 and 4 of a recording write, so both
+    /// writes fail, and checks that `record` names item 2 and still wrote
+    /// every other item.
+    fn assert_first_failure_reported(
+        path: impl Fn(usize) -> std::path::PathBuf,
+        record: impl FnOnce() -> DvsResult<String>,
+    ) {
+        for k in [2, 4] {
+            std::fs::create_dir_all(path(k)).unwrap();
+        }
+        let err = record().unwrap_err();
+        assert!(err.to_string().contains(&path(2).display().to_string()), "{err}");
+        for k in [0, 1, 3, 5] {
+            assert!(path(k).is_file(), "item {k} was not attempted");
+        }
+    }
+
+    #[test]
+    fn a_failed_write_names_the_first_failing_item_after_attempting_all() {
+        let specs: Vec<ScenarioSpec> = (0..6)
+            .map(|k| ScenarioSpec::new(format!("fail-{k}"), 60, 60, CostProfile::smooth()))
+            .collect();
+        let dir = tmp("unwritable-suite");
+        assert_first_failure_reported(
+            |k| TraceCache::trace_path(&dir, &specs[k]),
+            || record_suite_on(SweepEngine::new(4), &specs, &dir, false, 3),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = tmp("unwritable-fleet");
+        assert_first_failure_reported(
+            |k| fleet_trace_path(&dir, k as u64),
+            || record_fleet_on(SweepEngine::new(4), &FleetSpec::tiny(6, 12), &dir),
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -222,6 +222,7 @@ fn exit_code_one_on_hard_errors() {
         (&["fleet", "--tiny", "--bogus"][..], "`--bogus`"),
         (&["fleet", "--tiny", "--engine", "per-device"][..], "`--engine`"),
         (&["fleet", "--tiny", "--bench"][..], "`--bench`"),
+        (&["trace", "record", "--tiny", "--bogus"][..], "`--bogus`"),
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -231,10 +232,13 @@ fn exit_code_one_on_hard_errors() {
 
     // `bench` is no subcommand, and no artefact either. A word that names
     // nothing fails before any artefact runs, even when a valid one follows.
+    // A subcommand runs alone, so one after an artefact fails too, naming
+    // the artefacts it would drop.
     for (args, unknown) in [
         (&["bench"][..], "`bench`"),
         (&["bench", "trace"][..], "`bench`"),
         (&["bogus", "--fig", "5"][..], "`bogus`"),
+        (&["--fig", "5", "sweep", "--tiny"][..], "(fig5)"),
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");

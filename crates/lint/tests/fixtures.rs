@@ -12,9 +12,14 @@
 //!
 //! then review the golden diff like any other source change.
 
+mod common;
+
 use std::path::PathBuf;
 
 use dvs_lint::{check_source, render_json, Manifest};
+
+/// The command that rewrites this file's goldens.
+const REGEN: &str = "REGEN_GOLDEN=1 cargo test -p dvs-lint --test fixtures";
 
 /// Manifest used for every fixture: all fixtures pose as files inside a
 /// `sim` crate; `panics.rs` (plus `clean.rs`, to prove cleanliness under
@@ -50,16 +55,9 @@ fn check_fixture(stem: &str) -> dvs_lint::Analysis {
         std::fs::write(&golden_path, &got).unwrap();
     } else {
         let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-            panic!(
-                "read golden {}: {e}\nrun `REGEN_GOLDEN=1 cargo test -p dvs-lint --test fixtures` to create it",
-                golden_path.display()
-            )
+            panic!("read golden {}: {e}\nrun `{REGEN}` to create it", golden_path.display())
         });
-        assert_eq!(
-            got, want,
-            "fixture `{stem}` drifted from its golden; if the rule change is intentional, \
-             regenerate with REGEN_GOLDEN=1 and review the diff"
-        );
+        common::assert_golden(&format!("fixture `{stem}`"), &want, &got, REGEN);
     }
     analysis
 }

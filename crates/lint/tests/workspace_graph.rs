@@ -13,9 +13,14 @@
 //! REGEN_GOLDEN=1 cargo test -p dvs-lint --test workspace_graph
 //! ```
 
+mod common;
+
 use std::path::PathBuf;
 
 use dvs_lint::{check_sources, render_json, Manifest, WorkspaceCheck};
+
+/// The command that rewrites this file's golden.
+const REGEN: &str = "REGEN_GOLDEN=1 cargo test -p dvs-lint --test workspace_graph";
 
 /// The synthetic workspace: one hot crate (entry + extracted helper), one
 /// executor crate (panic domain), one sim crate (float reduction + locked
@@ -152,16 +157,8 @@ fn golden_report_is_stable() {
         std::fs::write(&golden_path, &got).unwrap();
     } else {
         let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-            panic!(
-                "read golden {}: {e}\nrun `REGEN_GOLDEN=1 cargo test -p dvs-lint --test \
-                 workspace_graph` to create it",
-                golden_path.display()
-            )
+            panic!("read golden {}: {e}\nrun `{REGEN}` to create it", golden_path.display())
         });
-        assert_eq!(
-            got, want,
-            "workspace-graph report drifted; if the rule change is intentional, regenerate \
-             with REGEN_GOLDEN=1 and review the diff"
-        );
+        common::assert_golden("workspace-graph report", &want, &got, REGEN);
     }
 }
